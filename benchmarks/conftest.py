@@ -2,11 +2,21 @@
 
 Every file here regenerates one paper figure or evaluation claim (the
 experiment index lives in DESIGN.md section 4). Alongside pytest-benchmark
-timings, each experiment writes a paper-style result table to
-``benchmarks/results/`` — EXPERIMENTS.md quotes those artifacts.
+timings, each experiment writes a paper-style result table through the
+``results_path`` fixture. A plain run writes them to the git-ignored
+``benchmarks/out/``, so running the test suite leaves the committed tables
+alone. ``--record`` writes the committed copies in ``benchmarks/results/``
+instead — EXPERIMENTS.md quotes those artifacts::
+
+    PYTHONPATH=src python -m pytest benchmarks --record
+
+(The option lives in this file, so name ``benchmarks`` on the command line:
+pytest registers a sub-directory conftest's options only for paths given.)
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +26,33 @@ from repro import (
     ReverseCloakEngine,
     ReversiblePreassignmentExpansion,
 )
-from repro.bench import standard_network, standard_snapshot, pick_user_segments
+from repro.bench import (
+    pick_user_segments,
+    results_dir,
+    standard_network,
+    standard_snapshot,
+)
+
+#: Where a run without ``--record`` writes its tables (git-ignored).
+UNRECORDED_RESULTS = Path(__file__).resolve().parent / "out"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record",
+        action="store_true",
+        default=False,
+        help="write the experiment tables to the committed benchmarks/results/ "
+        "instead of the git-ignored benchmarks/out/",
+    )
+
+
+@pytest.fixture(scope="session")
+def results_path(request) -> Path:
+    """The directory this run's experiment tables go to."""
+    if request.config.getoption("--record"):
+        return results_dir()
+    return results_dir(UNRECORDED_RESULTS)
 
 
 #: The main sweep workload: a 16x16 grid (480 segments) with 1,200 cars.

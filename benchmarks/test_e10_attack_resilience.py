@@ -25,7 +25,7 @@ from conftest import profile_for_k
 
 
 def test_e10_attack_resilience(
-    network, snapshot, user_segments, rge_engine, chain3, benchmark
+    network, snapshot, user_segments, rge_engine, chain3, benchmark, results_path
 ):
     profile = profile_for_k(8)
     user_segment = user_segments[0]
@@ -46,7 +46,7 @@ def test_e10_attack_resilience(
             segment_entropy=round(segment_entropy(region), 2) if region else 0.0,
             user_entropy=round(user_entropy(region, snapshot), 2),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # Structural adversary: algorithm knowledge without keys does not
     # pinpoint the user.
@@ -73,7 +73,7 @@ def test_e10_attack_resilience(
     probe = KeyProbeAdversary(network, seed=10).probe(envelope, trials=5)
     structural.add_row(quantity="random-key probes rejected", value=probe["rejected"])
     structural.add_row(quantity="random-key probes accepted", value=probe["accepted"])
-    structural.print_and_save()
+    structural.print_and_save(results_path)
 
     # Claims:
     entropies = table.column("segment_entropy")

@@ -47,7 +47,7 @@ def _collision_stats(engine, snapshot, users, chain):
 
 
 def test_e11_search_mode_collision_rate(
-    network, snapshot, rge_engine, rple_engine, chain3, benchmark
+    network, snapshot, rge_engine, rple_engine, chain3, benchmark, results_path
 ):
     users = pick_user_segments(snapshot, TRIALS, seed=11)
     table = ResultTable(
@@ -82,7 +82,7 @@ def test_e11_search_mode_collision_rate(
         detected_collisions=0,
         wrong_region=0,
     )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     envelope = rge_engine.anonymize(
         users[0], snapshot, profile, chain, include_hints=False

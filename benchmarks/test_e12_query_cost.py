@@ -22,7 +22,7 @@ POIS = 600
 
 
 def test_e12_query_cost_by_level(
-    network, snapshot, user_segments, rge_engine, chain3, benchmark
+    network, snapshot, user_segments, rge_engine, chain3, benchmark, results_path
 ):
     directory = PoiDirectory(network, count=POIS, seed=12)
     provider = LBSProvider(directory)
@@ -61,7 +61,7 @@ def test_e12_query_cost_by_level(
             candidate_pois=round(statistics.mean(per_level_counts[level]), 1),
             precision=round(statistics.mean(per_level_precision[level]), 3),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     provider.upload("bench", envelope)
     benchmark(lambda: provider.serve_range_query("bench", radius=RADIUS))

@@ -17,7 +17,7 @@ REPEATS = 3
 
 
 def test_e13_level_count_scaling(
-    network, snapshot, user_segments, rge_engine, benchmark
+    network, snapshot, user_segments, rge_engine, benchmark, results_path
 ):
     table = ResultTable(
         "E13",
@@ -56,7 +56,7 @@ def test_e13_level_count_scaling(
             region_segments=len(envelope.region),
             full_peel_ms=round(peel_summary.mean_s * 1000.0, 3),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     profile = PrivacyProfile.uniform(
         levels=4, base_k=4, k_step=2, base_l=2, l_step=1, max_segments=240

@@ -53,7 +53,7 @@ def _run_budget(budget):
     return successes / len(users), (statistics.mean(waits) if waits else 0.0)
 
 
-def test_e14_temporal_deferral(benchmark):
+def test_e14_temporal_deferral(benchmark, results_path):
     table = ResultTable(
         "E14",
         f"Success rate vs temporal budget sigma_t (tight sigma_s = "
@@ -70,7 +70,7 @@ def test_e14_temporal_deferral(benchmark):
             success_rate=round(rate, 2),
             mean_wait_seconds=round(mean_wait, 1),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     benchmark(lambda: _run_budget(10.0))
 

@@ -46,7 +46,7 @@ def _attack_for_k(k):
     return traces
 
 
-def test_e15_intersection_attack(benchmark):
+def test_e15_intersection_attack(benchmark, results_path):
     table = ResultTable(
         "E15",
         f"Intersection attack on {TICKS}-tick continuous cloaks "
@@ -82,7 +82,7 @@ def test_e15_intersection_attack(benchmark):
                 else "-"
             ),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     benchmark(lambda: _attack_for_k(5))
 

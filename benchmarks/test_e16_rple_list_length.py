@@ -28,7 +28,7 @@ T_SWEEP = (4, 6, 8, 12, 16)
 K = 20
 
 
-def test_e16_rple_list_length_ablation(benchmark):
+def test_e16_rple_list_length_ablation(benchmark, results_path):
     network = standard_network("grid", 16)
     snapshot = standard_snapshot("grid", 16, 1200)
     users = pick_user_segments(snapshot, 6)
@@ -108,7 +108,7 @@ def test_e16_rple_list_length_ablation(benchmark):
             cloak_ms=round(cloak_summary.mean_s * 1000.0, 3),
             peel_ms=round(peel_summary.mean_s * 1000.0, 3),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     benchmark(
         lambda: ReversiblePreassignmentExpansion.for_network(

@@ -41,7 +41,7 @@ def _hypothesis_counter(engine):
     return counters, original
 
 
-def test_e17_reversal_mode_ablation(benchmark):
+def test_e17_reversal_mode_ablation(benchmark, results_path):
     network = standard_network("grid", 16)
     snapshot = standard_snapshot("grid", 16, 1200)
     users = pick_user_segments(snapshot, USERS, seed=17)
@@ -97,7 +97,7 @@ def test_e17_reversal_mode_ablation(benchmark):
     search_exact, search_collisions = run_mode(
         "search (paper-faithful)", engine, "search"
     )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     benchmark(lambda: engine.deanonymize(envelopes[0], chain, target_level=0))
 

@@ -30,7 +30,7 @@ K = 10
 USERS = 6
 
 
-def test_e18_topology_ablation(benchmark):
+def test_e18_topology_ablation(benchmark, results_path):
     table = ResultTable(
         "E18",
         f"Topology ablation (RGE, k={K}): cloak/reverse across map families",
@@ -87,7 +87,7 @@ def test_e18_topology_ablation(benchmark):
             ),
             exact_reversals=f"{exact}/{len(envelopes)}",
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     network = standard_network("atlanta", 20)
     snapshot = standard_snapshot("atlanta", 20, n_cars=900)

@@ -38,7 +38,14 @@ def _mean_cloak_ms(engine, snapshot, profile, chain, user_segments):
 
 
 def test_e5_anonymization_time_vs_k(
-    network, snapshot, user_segments, rge_engine, rple_engine, chain3, benchmark
+    network,
+    snapshot,
+    user_segments,
+    rge_engine,
+    rple_engine,
+    chain3,
+    benchmark,
+    results_path,
 ):
     table = ResultTable(
         "E5",
@@ -73,7 +80,7 @@ def test_e5_anonymization_time_vs_k(
             baseline_ms=round(baseline_ms, 3),
             rge_over_rple=round(rge_ms / rple_ms, 2),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # pytest-benchmark series for the representative middle of the sweep
     profile = profile_for_k(20)

@@ -18,7 +18,14 @@ REPEATS = 5
 
 
 def test_e6_deanonymization_time_vs_k(
-    network, snapshot, user_segments, rge_engine, rple_engine, chain3, benchmark
+    network,
+    snapshot,
+    user_segments,
+    rge_engine,
+    rple_engine,
+    chain3,
+    benchmark,
+    results_path,
 ):
     table = ResultTable(
         "E6",
@@ -42,7 +49,7 @@ def test_e6_deanonymization_time_vs_k(
                 row["region_segments"] = len(envelope.region)
                 rge_series.append(summary.mean_s)
         table.add_row(**row)
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # Per-level breakdown at k=20 (RGE).
     profile = profile_for_k(20)
@@ -68,7 +75,7 @@ def test_e6_deanonymization_time_vs_k(
             levels_peeled=envelope.top_level - target,
             segments_removed=removed,
         )
-    breakdown.print_and_save()
+    breakdown.print_and_save(results_path)
 
     benchmark(lambda: rge_engine.deanonymize(envelope, chain3, target_level=0))
 

@@ -21,7 +21,7 @@ from repro.roadnet import grid_network
 GRID_SIZES = (8, 12, 16, 24)  # 112 .. 1104 segments
 
 
-def test_e7_memory_and_preassignment_cost(benchmark):
+def test_e7_memory_and_preassignment_cost(benchmark, results_path):
     table = ResultTable(
         "E7",
         "RGE vs RPLE memory / pre-assignment cost vs map size "
@@ -50,7 +50,7 @@ def test_e7_memory_and_preassignment_cost(benchmark):
         )
         sizes.append(network.segment_count)
         bytes_series.append(pre.memory_bytes())
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # Mapping-store baseline: memory per *request* instead of per map.
     network = grid_network(12, 12)
@@ -75,7 +75,7 @@ def test_e7_memory_and_preassignment_cost(benchmark):
             stored_bytes=store.storage_bytes(),
             bytes_per_request=round(store.storage_bytes() / count, 1),
         )
-    store_table.print_and_save()
+    store_table.print_and_save(results_path)
 
     benchmark(lambda: Preassignment(grid_network(12, 12), list_length=8))
 

@@ -38,7 +38,7 @@ def _success_rate(engine, snapshot, users, tolerance, chain):
 
 
 def test_e8_success_rate_vs_tolerance(
-    network, snapshot, rge_engine, rple_engine, benchmark
+    network, snapshot, rge_engine, rple_engine, benchmark, results_path
 ):
     users = pick_user_segments(snapshot, USERS, seed=8)
     chain = KeyChain.from_passphrases(["e8-1", "e8-2"])
@@ -60,7 +60,7 @@ def test_e8_success_rate_vs_tolerance(
             rge_success=round(rge_rate, 2),
             rple_success=round(rple_rate, 2),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     benchmark(
         lambda: _success_rate(rge_engine, snapshot, users[:5], TOLERANCES[-1], chain)

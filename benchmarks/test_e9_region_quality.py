@@ -24,7 +24,14 @@ L_SWEEP = (2, 4, 8, 16)
 
 
 def test_e9_region_quality_vs_k(
-    network, snapshot, user_segments, rge_engine, rple_engine, chain3, benchmark
+    network,
+    snapshot,
+    user_segments,
+    rge_engine,
+    rple_engine,
+    chain3,
+    benchmark,
+    results_path,
 ):
     table = ResultTable(
         "E9",
@@ -94,7 +101,7 @@ def test_e9_region_quality_vs_k(
                 statistics.mean(q.diagonal for q in baseline_qualities), 0
             ),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # l sweep at fixed k: segment l-diversity forces the region floor.
     l_table = ResultTable(
@@ -130,7 +137,7 @@ def test_e9_region_quality_vs_k(
                 1,
             ),
         )
-    l_table.print_and_save()
+    l_table.print_and_save(results_path)
 
     profile = profile_for_k(20)
     benchmark(

@@ -37,7 +37,7 @@ def setup():
     return network, snapshot, profile, chain, engine
 
 
-def test_fig1_multilevel_walkthrough(setup, benchmark):
+def test_fig1_multilevel_walkthrough(setup, benchmark, results_path):
     network, snapshot, profile, chain, engine = setup
     user_segment = 18  # "The segment s18 contains the actual user"
 
@@ -65,7 +65,7 @@ def test_fig1_multilevel_walkthrough(setup, benchmark):
             added_by_level="{" + ", ".join(f"s{s}" for s in added) + "}",
             removed_on_peel="{" + ", ".join(f"s{s}" for s in result.removed[level]) + "}",
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # The walkthrough's invariants:
     assert result.region_at(0) == (user_segment,)

@@ -17,7 +17,7 @@ def fig2():
     return fig2_network()
 
 
-def test_fig2_worked_example(fig2, benchmark):
+def test_fig2_worked_example(fig2, benchmark, results_path):
     cloak = {8, 9, 11}
     candidates = set(fig2.frontier(cloak))
     assert candidates == {6, 10, 14}
@@ -42,7 +42,7 @@ def test_fig2_worked_example(fig2, benchmark):
             s14=values[1],
             s10=values[2],
         )
-    result.print_and_save()
+    result.print_and_save(results_path)
 
     # The paper's exact claims:
     assert table.rows == (9, 8, 11)  # s8 in row 2

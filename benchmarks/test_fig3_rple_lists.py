@@ -21,7 +21,7 @@ def fig3():
     return fig3_network()
 
 
-def test_fig3_preassigned_lists(fig3, benchmark):
+def test_fig3_preassigned_lists(fig3, benchmark, results_path):
     pre = benchmark(lambda: Preassignment(fig3, list_length=6))
 
     table = ResultTable(
@@ -39,7 +39,7 @@ def test_fig3_preassigned_lists(fig3, benchmark):
                 ["-" if t is None else f"s{t}" for t in pre.backward_list(segment_id)]
             ),
         )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     # Figure 3 claims:
     forward = pre.forward_list(8)

@@ -3,7 +3,8 @@
 The paper's screenshot shows the northwest-Atlanta road map (6,979
 junctions / 9,187 segments), 10,000 Gaussian-placed cars, and the coloured
 multi-level cloaking regions. This experiment regenerates that artifact as
-``benchmarks/results/fig4_anonymizer.svg`` on a quarter-scale map (the
+``fig4_anonymizer.svg`` (committed under ``benchmarks/results/`` by a
+``--record`` run; see ``conftest.py``) on a quarter-scale map (the
 full-scale rendering is examples/toolkit_render.py; the benchmark keeps the
 suite fast while preserving the pipeline).
 """
@@ -18,7 +19,7 @@ from repro import (
     TrafficSimulator,
     atlanta_like,
 )
-from repro.bench import ResultTable, results_dir
+from repro.bench import ResultTable
 from repro.roadnet import network_stats
 from repro.toolkit import SvgMapRenderer
 
@@ -40,7 +41,7 @@ def setup():
     return network, simulator
 
 
-def test_fig4_anonymizer_rendering(setup, benchmark):
+def test_fig4_anonymizer_rendering(setup, benchmark, results_path):
     network, simulator = setup
     snapshot = simulator.snapshot()
     stats = network_stats(network)
@@ -64,7 +65,7 @@ def test_fig4_anonymizer_rendering(setup, benchmark):
             title=f"ReverseCloak Anonymizer — {network.name}",
         )
     )
-    output = results_dir() / "fig4_anonymizer.svg"
+    output = results_path / "fig4_anonymizer.svg"
     output.write_text(svg)
 
     table = ResultTable(
@@ -85,7 +86,7 @@ def test_fig4_anonymizer_rendering(setup, benchmark):
         paper=3,
         this_run=len(result.regions) - 1,
     )
-    table.print_and_save()
+    table.print_and_save(results_path)
 
     assert svg.startswith("<svg")
     assert svg.count("<circle") == CARS

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import QueryError
 from ..roadnet.geometry import Point, point_along, point_segment_distance
 from ..roadnet.graph import RoadNetwork
@@ -67,6 +65,8 @@ class PoiDirectory:
             raise QueryError(f"count must be non-negative, got {count}")
         if not categories:
             raise QueryError("need at least one POI category")
+        import numpy as np
+
         self._network = network
         rng = np.random.default_rng(seed)
         segment_ids = network.segment_ids()

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import MobilityError
 from ..roadnet.geometry import Point, point_along
 from ..roadnet.graph import RoadNetwork
@@ -97,6 +95,8 @@ class TrafficSimulator:
             raise MobilityError(f"n_cars must be non-negative, got {n_cars}")
         if speed_range[0] <= 0 or speed_range[1] < speed_range[0]:
             raise MobilityError(f"invalid speed range: {speed_range}")
+        import numpy as np
+
         self._network = network
         self._rng = np.random.default_rng(seed)
         self._placement = placement or GaussianPlacement()

@@ -27,9 +27,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-import numpy as np
-from scipy.spatial import Delaunay
-
 from ..errors import RoadNetworkError
 from .graph import RoadNetwork, RoadNetworkBuilder
 
@@ -186,6 +183,9 @@ def random_delaunay_network(
             f"target_segments={target_segments} cannot connect "
             f"{n_junctions} junctions (need >= {n_junctions - 1})"
         )
+    import numpy as np
+    from scipy.spatial import Delaunay
+
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, extent, size=(n_junctions, 2))
     triangulation = Delaunay(points)
