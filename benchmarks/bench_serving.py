@@ -85,8 +85,8 @@ FAULT_REPEATS = 3
 #: fraction of the clean run — the fault-tolerance overhead budget.
 FAULTED_MIN_RATIO = 0.8
 
-#: PR 2's recorded thread-pool serving ceiling on this workload
-#: (BENCH_prf.json, 64-request batches): the number the process pool must
+#: The thread-pool serving ceiling recorded on this workload by the retired
+#: PRF benchmark (64-request batches): the number the process pool must
 #: scale past.
 PR2_THREAD_CEILING_RPS = 2611.6
 

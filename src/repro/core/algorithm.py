@@ -20,17 +20,20 @@ Indexing by step — instead of one running counter — lets the backward pass
 replay any step's draws without knowing how many draws earlier steps
 consumed (RPLE redraws make that count variable).
 
-Draws come in two byte-identical planes. :func:`keyed_draw` is the per-call
-plane: one HMAC per invocation. :class:`LevelDraws` is the batched plane:
-one buffer per (level key, request) that pre-draws the attempt-0 values of
-a run of upcoming steps in a single tight loop (:func:`~repro.keys.prf.
-prf_block`), draws redraw attempts on demand, and memoizes every value it
-has drawn — so a whole level peel (many
+Every draw is an HMAC from the level key's own pad state
+(:attr:`AccessKey.hmac <repro.keys.keys.AccessKey.hmac>`), the one keyed-HMAC
+mechanism of the system; the state is built on the key's first use and goes
+away with the key. Two byte-identical ways of drawing sit on top of it.
+:func:`keyed_draw` is the per-call reference: one HMAC per invocation.
+:class:`LevelDraws` is the batched buffer: one per (level key, request), it
+pre-draws the attempt-0 values of a run of upcoming steps in a single tight
+loop (:meth:`~repro.keys.prf.PrfDrawer.block`), draws redraw attempts on
+demand, and memoizes every value it has drawn — so a whole level peel (many
 hypotheses replaying the same steps) pays for each distinct draw once. The
 engine and the reversal search construct one ``LevelDraws`` per level and
 pass it down; algorithms fall back to :func:`keyed_draw` when ``draws`` is
-``None``, which is the equivalence/benchmark baseline (like
-``incremental=False`` for the region state).
+``None``, which is the equivalence baseline (like ``incremental=False`` for
+the region state).
 
 Complexity: every step-level primitive here accepts an optional maintained
 :class:`~repro.core.region_state.RegionState`. Without it, the frontier and
@@ -50,7 +53,7 @@ from typing import AbstractSet, Dict, Optional, Set, Tuple
 
 from ..errors import CloakingError, FrontierExhaustedError, ToleranceExceededError
 from ..keys.keys import AccessKey
-from ..keys.prf import PrfDrawer, prf_value
+from ..keys.prf import PrfDrawer
 from ..roadnet.graph import RoadNetwork
 from .profile import ToleranceSpec
 from .region_state import RegionState
@@ -91,20 +94,20 @@ def keyed_draw(key: AccessKey, step: int, attempt: int = 0) -> int:
         raise CloakingError(f"step must be >= 1, got {step}")
     if not 0 <= attempt < MAX_ATTEMPT:
         raise CloakingError(f"attempt must be in 0..{MAX_ATTEMPT - 1}, got {attempt}")
-    return prf_value(
-        key.material, _transition_domain(key.level), (step << _ATTEMPT_BITS) | attempt
-    )
+    index = (step << _ATTEMPT_BITS) | attempt
+    message = _transition_domain(key.level) + index.to_bytes(8, "big")
+    return int.from_bytes(key.hmac.digest(message), "big")
 
 
 class LevelDraws:
-    """Buffered keyed draws of one level key (the batched PRF plane).
+    """Buffered keyed draws of one level key.
 
     Maintains two pre-draw surfaces over the level's transition domain,
     byte-identical to :func:`keyed_draw` everywhere:
 
     * **attempt-0 plane** — the first request at or past the pre-drawn
       horizon block-draws the attempt-0 values of the next run of steps in
-      one :func:`~repro.keys.prf.prf_block` loop (geometrically growing
+      one :meth:`~repro.keys.prf.PrfDrawer.block` loop (geometrically growing
       blocks, so a level of ``n`` additions costs O(n) batched HMACs plus
       at most one block of overshoot);
     * **redraw plane** — RPLE redraws (attempt >= 1) are drawn singly
@@ -140,7 +143,7 @@ class LevelDraws:
     def __init__(self, key: AccessKey, lookahead: Optional[int] = None) -> None:
         """Wrap ``key``; ``lookahead`` (e.g. a known step count) sizes the
         first attempt-0 block so replays draw their whole level at once."""
-        self._drawer = PrfDrawer(key.material, _transition_domain(key.level))
+        self._drawer = PrfDrawer(key.hmac, _transition_domain(key.level))
         self._level = key.level
         self._values: Dict[int, int] = {}
         self._next_step = 1

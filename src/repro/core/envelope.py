@@ -32,7 +32,6 @@ from typing import AbstractSet, Dict, Iterable, Optional, Tuple
 
 from ..errors import EnvelopeError, KeyMismatchError
 from ..keys.keys import AccessKey
-from ..keys.prf import derive_pad, keyed_digest, keyed_digest_block
 from ..roadnet.graph import RoadNetwork
 from .profile import LevelRequirement, ToleranceSpec
 
@@ -94,9 +93,8 @@ def seal_anchor(key: AccessKey, anchor: int, purpose: str = "hint") -> int:
     """
     if anchor < 0 or anchor >= 1 << (8 * _PAD_BYTES):
         raise EnvelopeError(f"anchor id {anchor} out of sealable range")
-    domain = f"reversecloak|{purpose}|level={key.level}".encode()
-    pad = int.from_bytes(derive_pad(key.material, domain, _PAD_BYTES), "big")
-    return anchor ^ pad
+    message = f"reversecloak|{purpose}|level={key.level}|pad".encode()
+    return anchor ^ int.from_bytes(key.hmac.digest(message)[:_PAD_BYTES], "big")
 
 
 def unseal_anchor(key: AccessKey, sealed: int, purpose: str = "hint") -> int:
@@ -115,22 +113,21 @@ def witness_byte(key: AccessKey, step: int, anchor: int) -> int:
     linear even through dense regions where the paper's collision problem
     is at its worst.
     """
-    message = f"witness|{step}|{anchor}".encode()
-    return keyed_digest(key.material, message)[0]
+    return key.hmac.digest(f"witness|{step}|{anchor}".encode())[0]
 
 
 def witness_bytes(key: AccessKey, anchors: Iterable[int]) -> Tuple[int, ...]:
-    """The witness tags of a whole level in one batched keyed-digest loop.
+    """The witness tags of a whole level.
 
     ``anchors`` are the per-step forward anchors in step order (step 1
     first). Byte-identical to ``tuple(witness_byte(key, step, anchor) ...)``
-    — this is the envelope-construction arm of the batched PRF plane.
+    with the key's digest method resolved once.
     """
-    messages = [
-        f"witness|{step}|{anchor}".encode()
+    digest = key.hmac.digest
+    return tuple(
+        digest(f"witness|{step}|{anchor}".encode())[0]
         for step, anchor in enumerate(anchors, start=1)
-    ]
-    return tuple(d[0] for d in keyed_digest_block(key.material, messages))
+    )
 
 
 def level_mac(
@@ -148,6 +145,8 @@ def level_mac(
 
     Binds the level key to the level's public metadata so reversal can detect
     a wrong key (or a tampered envelope) before walking a single transition.
+    The MAC is the first 32 hex digits of HMAC-SHA256 over that metadata,
+    drawn from the key's own pad state like every other keyed digest.
     """
     message = (
         f"v{_ENVELOPE_VERSION}|{level}|{steps}|"
@@ -156,7 +155,7 @@ def level_mac(
         f"{','.join(str(w) for w in witnesses)}|{digest}|"
         f"{algorithm}|{net_digest}"
     ).encode()
-    return hmac_module.new(key.material, message, hashlib.sha256).hexdigest()[:32]
+    return key.hmac.digest(message)[:16].hex()
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,12 @@
-"""Key management: PRF streams, level keys, chains, access-control profiles."""
+"""Key management: keyed HMAC/PRF, level keys, chains, access-control profiles."""
 
 from .access_control import AccessControlProfile, KeyGrant, Requester
 from .keys import AccessKey, KeyChain
-from .prf import (
-    PrfBlock,
-    PrfDrawer,
-    PrfStream,
-    derive_pad,
-    keyed_digest,
-    keyed_digest_block,
-    prf_block,
-    prf_value,
-    purge_keyed_hmac_cache,
-)
+from .prf import KeyedHmac, PrfDrawer
 
 __all__ = [
-    "PrfStream",
-    "PrfBlock",
+    "KeyedHmac",
     "PrfDrawer",
-    "prf_value",
-    "prf_block",
-    "keyed_digest",
-    "keyed_digest_block",
-    "purge_keyed_hmac_cache",
-    "derive_pad",
     "AccessKey",
     "KeyChain",
     "Requester",

@@ -7,7 +7,9 @@ demo GUI offers an "Auto key generation" button; :meth:`KeyChain.generate`
 is its programmatic counterpart.
 
 Keys are value objects wrapping raw bytes; they never appear in ``repr`` so
-accidental logging does not leak secrets.
+accidental logging does not leak secrets. A key also owns the HMAC pad state
+of its material (:attr:`AccessKey.hmac`), built on first use and dropped with
+the key.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ProfileError
-from .prf import PrfStream
+from .prf import KeyedHmac
 
 __all__ = ["AccessKey", "KeyChain"]
 
@@ -57,14 +60,23 @@ class AccessKey:
         digest = hashlib.sha256(f"reversecloak|{level}|{passphrase}".encode()).digest()
         return cls(level, digest)
 
-    def stream(self, purpose: str = "transitions") -> PrfStream:
-        """The PRF stream this key drives for the given ``purpose``.
+    @cached_property
+    def hmac(self) -> KeyedHmac:
+        """The HMAC-SHA256 pad state of this key, built on first use.
 
-        Distinct purposes ("transitions", "hints", ...) give independent
-        streams, so transition numbers never reuse hint-pad outputs.
+        Every keyed digest of the level resumes it: PRF draws, anchor
+        seals, witness tags and the level MAC. It is not a dataclass field,
+        so equality, hashing, ``repr`` and :meth:`to_dict` ignore it, and it
+        goes away with the key.
         """
-        domain = f"reversecloak|level={self.level}|{purpose}".encode()
-        return PrfStream(self.material, domain)
+        return KeyedHmac(self.material)
+
+    def __getstate__(self) -> dict:
+        # The pad state's SHA-256 objects do not pickle; a copy rebuilds it
+        # from ``material`` on first use.
+        state = self.__dict__.copy()
+        state.pop("hmac", None)
+        return state
 
     def fingerprint(self) -> str:
         """A short non-secret identifier (first 8 hex chars of SHA-256)."""

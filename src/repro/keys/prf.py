@@ -15,48 +15,28 @@ the paper's security argument relies on ("without the secret key, the cloaked
 region preserves strong privacy properties ... even when the adversary has
 complete knowledge about the location perturbation algorithm").
 
-Two call planes are exposed, byte-identical by construction:
-
-* **per-call** — :func:`prf_value` / :func:`keyed_digest`, one HMAC per
-  invocation (the seed-era path, kept as the equivalence baseline);
-* **batched** — :func:`prf_block` / :func:`keyed_digest_block` draw many
-  outputs in one tight loop over the cached keyed pad states, and
-  :class:`PrfBlock` / :meth:`PrfStream.next_block` buffer whole windows of a
-  stream. Expansion draws a level's worth of ``R_i`` up front through this
-  plane instead of paying the per-call overhead once per transition.
-
-Both planes run HMAC manually from two cached SHA-256 pad states per key
-(the ``key ^ ipad`` / ``key ^ opad`` absorbed prefixes of the HMAC
-construction). ``hmac.new(key, ...)`` re-absorbs the padded key and wraps
-every digest in Python-level object plumbing; resuming copied pad states
-produces the exact same bytes at roughly half the cost per call, and the
-batched loop amortises the remaining per-call bookkeeping as well. A
-one-shot :func:`hmac.digest` fast path is deliberately *not* used: measured
-against the cached-state loop it is slower on CPython's OpenSSL backend
-(one-shot re-keys per message).
+One mechanism computes every keyed HMAC in the system: :class:`KeyedHmac`,
+the two absorbed SHA-256 pad states (``key ^ ipad`` and ``key ^ opad``) of
+one key. Each :class:`~repro.keys.keys.AccessKey` builds its own on first
+use (:attr:`AccessKey.hmac <repro.keys.keys.AccessKey.hmac>`) and drops it
+with the key, so no key-derived state outlives the key object a request
+parsed. PRF draws (:class:`PrfDrawer`), anchor seals, witness tags and level
+MACs all resume copies of those two states: bit-identical to the standard
+library's HMAC-SHA256, without re-absorbing the padded key and building an
+HMAC object for every digest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = [
-    "PrfStream",
-    "PrfBlock",
-    "PrfDrawer",
-    "prf_value",
-    "prf_block",
-    "keyed_digest",
-    "keyed_digest_block",
-    "derive_pad",
-    "purge_keyed_hmac_cache",
-]
+__all__ = ["KeyedHmac", "PrfDrawer"]
 
-_DIGEST_BYTES = hashlib.sha256().digest_size
 _SHA256_BLOCK_BYTES = 64
+#: Byte maps XOR-ing every byte with the HMAC inner/outer pad constants.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 # The builtin (non-OpenSSL) SHA-256 has lower per-call overhead for the
 # short messages the PRF hashes; digests are identical either way.
@@ -66,13 +46,13 @@ except ImportError:  # pragma: no cover - every CPython we target has it
     _sha256 = hashlib.sha256
 
 
-class _KeyedHmacState:
+class KeyedHmac:
     """The absorbed HMAC-SHA256 pad states of one key.
 
     HMAC(key, m) = H(key ^ opad || H(key ^ ipad || m)). Both pad prefixes
     are a pure function of the key, so they are hashed once here and every
-    digest resumes ``copy()``-ies of the two states — bit-identical to
-    ``hmac.new(key, m, sha256)`` (keys longer than the SHA-256 block are
+    digest resumes ``copy()``-ies of the two states — bit-identical to the
+    standard library's HMAC-SHA256 (keys longer than the SHA-256 block are
     pre-hashed exactly as the HMAC spec requires).
     """
 
@@ -82,10 +62,11 @@ class _KeyedHmacState:
         if len(key) > _SHA256_BLOCK_BYTES:
             key = _sha256(key).digest()
         padded = key.ljust(_SHA256_BLOCK_BYTES, b"\x00")
-        self.inner = _sha256(bytes(b ^ 0x36 for b in padded))
-        self.outer = _sha256(bytes(b ^ 0x5C for b in padded))
+        self.inner = _sha256(padded.translate(_IPAD))
+        self.outer = _sha256(padded.translate(_OPAD))
 
     def digest(self, message: bytes) -> bytes:
+        """``HMAC-SHA256(key, message)``."""
         ih = self.inner.copy()
         ih.update(message)
         oh = self.outer.copy()
@@ -93,113 +74,25 @@ class _KeyedHmacState:
         return oh.digest()
 
 
-#: Keyed-HMAC pad-state memo with LRU eviction. Deriving the pad states
-#: pays two SHA-256 compressions per key; caching them halves the cost of
-#: every PRF call on the expansion hot path, and LRU eviction (rather than
-#: the former wholesale clear at capacity) keeps a service that rotates
-#: keys across many concurrent users at a near-perfect hit rate as long as
-#: the working set fits.
-#:
-#: Key-hygiene trade-off: entries hold key-derived hash state (and the key
-#: bytes as dict keys) beyond the lifetime of the AccessKey that supplied
-#: them. Entries are small (~two SHA-256 states each) and evicted
-#: least-recently-used past the cap; :func:`purge_keyed_hmac_cache` drops
-#: everything — long-running services that retire keys should call it on
-#: rotation.
-_KEYED_HMAC_CACHE: "OrderedDict[bytes, _KeyedHmacState]" = OrderedDict()
-_KEYED_HMAC_CACHE_CAP = 128
-_KEYED_HMAC_CACHE_LOCK = threading.Lock()
-
-
-def _keyed_state(key: bytes) -> _KeyedHmacState:
-    with _KEYED_HMAC_CACHE_LOCK:
-        state = _KEYED_HMAC_CACHE.get(key)
-        if state is not None:
-            _KEYED_HMAC_CACHE.move_to_end(key)
-            return state
-    # Build outside the lock; a concurrent duplicate build is wasted work,
-    # never wrong — the states are a pure function of the key.
-    state = _KeyedHmacState(key)
-    with _KEYED_HMAC_CACHE_LOCK:
-        existing = _KEYED_HMAC_CACHE.get(key)
-        if existing is not None:
-            _KEYED_HMAC_CACHE.move_to_end(key)
-            return existing
-        _KEYED_HMAC_CACHE[key] = state
-        while len(_KEYED_HMAC_CACHE) > _KEYED_HMAC_CACHE_CAP:
-            _KEYED_HMAC_CACHE.popitem(last=False)
-    return state
-
-
-def purge_keyed_hmac_cache() -> None:
-    """Drop every cached keyed-HMAC pad state (see the key-hygiene note)."""
-    with _KEYED_HMAC_CACHE_LOCK:
-        _KEYED_HMAC_CACHE.clear()
-
-
-def keyed_digest(key: bytes, message: bytes) -> bytes:
-    """``HMAC-SHA256(key, message)`` via the keyed pad-state cache.
-
-    Exactly ``hmac.new(key, message, hashlib.sha256).digest()``, minus the
-    per-call key-absorption and HMAC-object cost.
-    """
-    return _keyed_state(key).digest(message)
-
-
-def keyed_digest_block(key: bytes, messages: Iterable[bytes]) -> List[bytes]:
-    """``HMAC-SHA256(key, m)`` for every ``m`` in one tight loop.
-
-    Byte-identical to mapping :func:`keyed_digest`, with the cache lookup,
-    lock and attribute traffic hoisted out of the loop.
-    """
-    state = _keyed_state(key)
-    icopy = state.inner.copy
-    ocopy = state.outer.copy
-    out: List[bytes] = []
-    append = out.append
-    for message in messages:
-        ih = icopy()
-        ih.update(message)
-        oh = ocopy()
-        oh.update(ih.digest())
-        append(oh.digest())
-    return out
-
-
-def prf_value(key: bytes, domain: bytes, index: int) -> int:
-    """The ``index``-th PRF output for ``key`` in the given ``domain``.
-
-    Values are 256-bit non-negative integers. ``domain`` separates independent
-    streams derived from the same key (e.g. transition selection vs. hint
-    sealing) so reuse of one stream leaks nothing about another.
-    """
-    if index < 0:
-        raise ValueError(f"PRF index must be non-negative, got {index}")
-    message = domain + index.to_bytes(8, "big")
-    return int.from_bytes(keyed_digest(key, message), "big")
-
-
 class PrfDrawer:
-    """A (key, domain) PRF stream with the keyed states resolved once.
+    """The PRF stream of one (key, domain) pair.
 
-    Binding resolves the keyed pad states (one cache hit) and absorbs the
-    ``domain`` prefix into the inner state a single time, so every
-    subsequent draw — single or block — hashes only its 8 index bytes on
-    top of the resumed states. Byte-identical to :func:`prf_value` /
-    :func:`prf_block`; the hot expansion loops hold one drawer per level
-    instead of re-resolving the key on every call.
+    Binding absorbs the ``domain`` prefix into a copy of the key's inner
+    state a single time, so every draw — single or block — hashes only its
+    8 index bytes on top of the resumed states. The ``index``-th value is
+    ``int.from_bytes(HMAC(key, domain || uint64(index)), "big")``; the hot
+    expansion loops hold one drawer per level.
     """
 
     __slots__ = ("_inner_dom", "_outer")
 
-    def __init__(self, key: bytes, domain: bytes) -> None:
-        state = _keyed_state(key)
-        self._inner_dom = state.inner.copy()
+    def __init__(self, hmac: KeyedHmac, domain: bytes) -> None:
+        self._inner_dom = hmac.inner.copy()
         self._inner_dom.update(domain)
-        self._outer = state.outer
+        self._outer = hmac.outer
 
     def value(self, index: int) -> int:
-        """The ``index``-th stream value (same bytes as :func:`prf_value`)."""
+        """The ``index``-th stream value (a 256-bit non-negative integer)."""
         if index < 0:
             raise ValueError(f"PRF index must be non-negative, got {index}")
         ih = self._inner_dom.copy()
@@ -224,169 +117,3 @@ class PrfDrawer:
             oh.update(ih.digest())
             append(from_bytes(oh.digest(), "big"))
         return tuple(out)
-
-
-def prf_block(key: bytes, domain: bytes, indices: Iterable[int]) -> Tuple[int, ...]:
-    """PRF outputs for many ``indices`` of one ``(key, domain)`` stream.
-
-    Byte-identical to ``tuple(prf_value(key, domain, i) for i in indices)``,
-    drawn in one tight :class:`PrfDrawer` loop. This is the primitive behind
-    every block pre-draw in the expansion hot path.
-    """
-    return PrfDrawer(key, domain).block(indices)
-
-
-def derive_pad(key: bytes, domain: bytes, width_bytes: int = 8) -> bytes:
-    """A key-derived pad of ``width_bytes`` bytes for XOR-sealing small values.
-
-    Used by the sealed-hint envelope mode (decision D1): the last-added
-    segment id of a level is XOR-masked with this pad, recoverable only with
-    the level key.
-    """
-    if width_bytes <= 0 or width_bytes > _DIGEST_BYTES:
-        raise ValueError(f"width_bytes must be in 1..{_DIGEST_BYTES}")
-    return keyed_digest(key, domain + b"|pad")[:width_bytes]
-
-
-class PrfBlock:
-    """A pre-drawn window ``[start, start + count)`` of one PRF stream.
-
-    The block draws its whole window in one :func:`prf_block` loop at
-    construction; :meth:`value_at` then serves in-window indices from the
-    buffer in O(1) and transparently falls back to :func:`prf_value` for
-    indices outside it, so callers can treat a block as a faster view of
-    the same stream.
-    """
-
-    __slots__ = ("_key", "_domain", "_start", "_values")
-
-    def __init__(self, key: bytes, domain: bytes, start: int, count: int) -> None:
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        self._key = bytes(key)
-        self._domain = bytes(domain)
-        self._start = start
-        self._values = prf_block(key, domain, range(start, start + count))
-
-    @property
-    def start(self) -> int:
-        """First absolute stream index the buffer covers."""
-        return self._start
-
-    @property
-    def stop(self) -> int:
-        """One past the last buffered absolute index."""
-        return self._start + len(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
-
-    def covers(self, index: int) -> bool:
-        """Whether ``index`` is inside the buffered window."""
-        return self._start <= index < self.stop
-
-    def value_at(self, index: int) -> int:
-        """The stream value at absolute ``index`` (buffered or computed)."""
-        if self.covers(index):
-            return self._values[index - self._start]
-        return prf_value(self._key, self._domain, index)
-
-
-class PrfStream:
-    """A sequential view over the PRF stream of one (key, domain) pair.
-
-    Both anonymization (forward) and de-anonymization (backward) construct a
-    stream with the same key and domain; the backward side may also jump to an
-    absolute index via :meth:`value_at` since the i-th number drives both the
-    i-th forward and the corresponding backward transition. Consumers that
-    know (or can bound) how many values they need should draw them through
-    :meth:`next_block` / :meth:`block` — one tight loop instead of one HMAC
-    call per value, same bytes.
-
-    Example:
-        >>> stream = PrfStream(b"secret", domain=b"level-1")
-        >>> first = stream.next_value()
-        >>> stream.value_at(0) == first
-        True
-    """
-
-    def __init__(self, key: bytes, domain: bytes = b"reversecloak") -> None:
-        if not key:
-            raise ValueError("PRF key must be non-empty")
-        self._key = bytes(key)
-        self._domain = bytes(domain)
-        self._cursor = 0
-
-    @property
-    def cursor(self) -> int:
-        """Index of the next value :meth:`next_value` will return."""
-        return self._cursor
-
-    @property
-    def domain(self) -> bytes:
-        return self._domain
-
-    def next_value(self) -> int:
-        """Consume and return the next stream value."""
-        value = prf_value(self._key, self._domain, self._cursor)
-        self._cursor += 1
-        return value
-
-    def next_block(self, count: int) -> Tuple[int, ...]:
-        """Consume and return the next ``count`` values in one batched draw.
-
-        Equivalent to ``count`` :meth:`next_value` calls (same values, same
-        cursor advance) at block-draw cost.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        values = prf_block(
-            self._key, self._domain, range(self._cursor, self._cursor + count)
-        )
-        self._cursor += count
-        return values
-
-    def block(self, count: int, start: "int | None" = None) -> PrfBlock:
-        """A :class:`PrfBlock` buffer over ``[start, start + count)``.
-
-        ``start`` defaults to the current cursor; the cursor is unchanged
-        (blocks are random-access views, not consumers).
-        """
-        begin = self._cursor if start is None else start
-        return PrfBlock(self._key, self._domain, begin, count)
-
-    def value_at(self, index: int) -> int:
-        """Random access to the ``index``-th value (cursor unchanged)."""
-        return prf_value(self._key, self._domain, index)
-
-    def values(self, count: int, start: int = 0) -> Iterator[int]:
-        """Iterate ``count`` values starting at absolute index ``start``."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        for index in range(start, start + count):
-            yield prf_value(self._key, self._domain, index)
-
-    def reset(self) -> None:
-        """Rewind the cursor to the beginning of the stream."""
-        self._cursor = 0
-
-    def fork(self, subdomain: bytes) -> "PrfStream":
-        """An independent stream in a derived domain, sharing the key.
-
-        Forked subdomains are length-prefixed —
-        ``domain || b"/" || uint32(len(subdomain)) || subdomain`` — so the
-        encoding of a fork chain is injective: ``fork(b"a/b")`` and
-        ``fork(b"a").fork(b"b")`` occupy distinct domains (under the former
-        bare ``b"/"`` join they collided). Unforked streams are unaffected,
-        so envelopes (whose domains never pass through ``fork``) are
-        byte-for-byte unchanged.
-        """
-        return PrfStream(
-            self._key,
-            self._domain + b"/" + len(subdomain).to_bytes(4, "big") + subdomain,
-        )

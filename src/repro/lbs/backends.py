@@ -1305,18 +1305,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 outcomes[position] = reply
         return list(outcomes)  # type: ignore[arg-type]
 
-    def deanonymize_batch_docs(
-        self, docs: Sequence[DeanonymizeRequestDoc]
-    ) -> List[dict]:
-        """Ship parsed reversal documents straight to the worker shards
-        (see :meth:`cloak_batch_docs`; reversal is snapshot-free)."""
-        if not docs:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        chunk_docs = [doc.to_dict() for doc in docs]
-        with self._dispatch_lock:
-            return self._dispatch_peels(chunk_docs)
-
     def cloak_batch_raw(
         self, snapshot: PopulationSnapshot, documents: Sequence[dict]
     ) -> List[dict]:

@@ -170,10 +170,6 @@ class FrontendServer:
         max_frame_bytes: Per-frame payload cap, both directions.
         max_pending: Global bound on admitted-but-unanswered requests.
         max_connection_pending: The same bound per connection.
-        serve_threads: Width of the off-loop executor the blocking
-            service calls run on. The default of 1 serializes engine work
-            (correct for CPU-bound cloaking under the GIL); raise it only
-            for backends that block without computing.
         idle_timeout_s: Close any connection that completes no frame for
             this long (``None`` — the embedded-server default — never
             times out; the console entry point defaults to 300 s).
@@ -207,7 +203,6 @@ class FrontendServer:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_pending: int = 1024,
         max_connection_pending: int = 256,
-        serve_threads: int = 1,
         idle_timeout_s: Optional[float] = None,
         max_write_buffer_bytes: int = 1 << 20,
         drain_timeout_s: float = 5.0,
@@ -227,8 +222,6 @@ class FrontendServer:
                 "max_connection_pending must be >= 1, "
                 f"got {max_connection_pending}"
             )
-        if serve_threads < 1:
-            raise ProfileError(f"serve_threads must be >= 1, got {serve_threads}")
         if idle_timeout_s is not None and idle_timeout_s <= 0:
             raise ProfileError(
                 f"idle_timeout_s must be positive, got {idle_timeout_s}"
@@ -258,7 +251,6 @@ class FrontendServer:
         self._max_frame_bytes = max_frame_bytes
         self._max_pending = max_pending
         self._max_connection_pending = max_connection_pending
-        self._serve_threads = serve_threads
         self._idle_timeout_s = idle_timeout_s
         self._max_write_buffer_bytes = max_write_buffer_bytes
         self._drain_timeout_s = drain_timeout_s
@@ -315,8 +307,10 @@ class FrontendServer:
             raise RuntimeError("frontend server is already started")
         self._loop = asyncio.get_running_loop()
         self._closing = False
+        # One serving thread: engine work is CPU-bound under the GIL, so
+        # a wider executor would only interleave batches.
         self._executor = ThreadPoolExecutor(
-            max_workers=self._serve_threads,
+            max_workers=1,
             thread_name_prefix="reversecloak-frontend",
         )
         self._server = await asyncio.start_server(

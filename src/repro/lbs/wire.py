@@ -31,7 +31,9 @@ Secrecy note: request documents necessarily carry key material (the
 anonymizer needs the keys to drive the expansion; that is the paper's trust
 model). They are wire forms for links *inside* the trusted perimeter —
 client to anonymizer, anonymizer to its workers — and must never be logged
-or published. Outcome documents carry no key material.
+or published. Outcome documents carry no key material. Key-derived state
+(each key's HMAC pad state) lives only on the key objects a request parses
+from its document, and is freed with them when the request is done.
 """
 
 from __future__ import annotations

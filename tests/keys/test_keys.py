@@ -35,10 +35,6 @@ class TestAccessKey:
         assert key.material.hex() not in repr(key)
         assert key.fingerprint() in repr(key)
 
-    def test_stream_purposes_independent(self):
-        key = AccessKey.from_passphrase(2, "x")
-        assert key.stream("transitions").value_at(0) != key.stream("hints").value_at(0)
-
     def test_fingerprint_stable(self):
         key = AccessKey.from_passphrase(1, "x")
         assert key.fingerprint() == key.fingerprint()

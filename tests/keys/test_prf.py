@@ -1,271 +1,234 @@
-"""Tests for the keyed PRF streams."""
+"""Tests for the keyed HMAC state and the PRF streams drawn from it."""
+
+import hashlib
+import hmac
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.keys import PrfStream, derive_pad, prf_value
+from repro.core.algorithm import _transition_domain, keyed_draw
+from repro.core.envelope import level_mac, seal_anchor, witness_byte, witness_bytes
+from repro.keys import AccessKey, KeyedHmac, PrfDrawer
 
 
-class TestPrfValue:
+def _stdlib_value(key: bytes, domain: bytes, index: int) -> int:
+    message = domain + index.to_bytes(8, "big")
+    return int.from_bytes(hmac.new(key, message, hashlib.sha256).digest(), "big")
+
+
+class TestKeyedHmac:
+    @given(
+        material=st.binary(min_size=8, max_size=200),
+        message=st.binary(max_size=300),
+    )
+    def test_matches_stdlib_hmac(self, material, message):
+        # Covers short keys, block-sized keys and keys longer than the
+        # 64-byte SHA-256 block (which HMAC pre-hashes).
+        assert KeyedHmac(material).digest(message) == hmac.new(
+            material, message, hashlib.sha256
+        ).digest()
+
+    def test_matches_stdlib_hmac_around_block_size(self):
+        # Pins the key lengths around the 64-byte SHA-256 block, where
+        # HMAC switches to pre-hashing the key.
+        for size in (8, 32, 63, 64, 65, 100, 200):
+            material = bytes(range(size))
+            state = KeyedHmac(material)
+            for message in (b"", b"m", b"x" * 64, b"x" * 200):
+                assert state.digest(message) == hmac.new(
+                    material, message, hashlib.sha256
+                ).digest()
+
+    def test_reusable_across_messages(self):
+        state = KeyedHmac(b"k" * 32)
+        first = state.digest(b"one")
+        state.digest(b"two")
+        assert state.digest(b"one") == first
+
+    def test_access_key_owns_one_state(self):
+        key = AccessKey.from_passphrase(1, "owner")
+        assert isinstance(key.hmac, KeyedHmac)
+        assert key.hmac is key.hmac
+        assert key.hmac.digest(b"m") == hmac.new(key.material, b"m", hashlib.sha256).digest()
+
+    def test_pad_state_built_on_first_use(self):
+        # A key that was never used holds nothing derived from its
+        # material; the first keyed digest builds the one state that every
+        # later purpose resumes.
+        key = AccessKey.from_passphrase(1, "lazy")
+        assert "hmac" not in vars(key)
+        seal_anchor(key, 0)
+        state = vars(key)["hmac"]
+        assert isinstance(state, KeyedHmac)
+        keyed_draw(key, 1)
+        witness_byte(key, 1, 5)
+        assert key.hmac is state
+
+    def test_interleaved_purposes_leave_state_intact(self):
+        # Every purpose resumes copies of the shared pad states; none may
+        # absorb into the originals.
+        key = AccessKey.from_passphrase(2, "interleave")
+        drawer = PrfDrawer(key.hmac, b"domain")
+        first = drawer.value(3)
+        seal_anchor(key, 99, "start")
+        witness_bytes(key, [4, 5, 6])
+        level_mac(key, 2, 1, None, None, (), "abcd", "rge", "net")
+        keyed_draw(key, 2, 1)
+        assert drawer.value(3) == first
+        assert key.hmac.digest(b"probe") == hmac.new(
+            key.material, b"probe", hashlib.sha256
+        ).digest()
+        fresh = AccessKey(2, key.material)
+        assert PrfDrawer(fresh.hmac, b"domain").value(3) == first
+
+
+class TestPrfDrawer:
+    def _drawer(self, key=b"key-bytes", domain=b"domain"):
+        return PrfDrawer(KeyedHmac(key), domain)
+
     def test_deterministic(self):
-        assert prf_value(b"key", b"domain", 5) == prf_value(b"key", b"domain", 5)
+        assert self._drawer().value(5) == self._drawer().value(5)
+
+    def test_matches_stdlib_definition(self):
+        for index in (0, 1, 7, 1 << 24, (9 << 24) | 3, 10_000):
+            assert self._drawer().value(index) == _stdlib_value(
+                b"key-bytes", b"domain", index
+            )
 
     def test_index_sensitivity(self):
-        assert prf_value(b"key", b"domain", 0) != prf_value(b"key", b"domain", 1)
+        assert self._drawer().value(0) != self._drawer().value(1)
 
     def test_key_sensitivity(self):
-        assert prf_value(b"key1", b"domain", 0) != prf_value(b"key2", b"domain", 0)
+        assert self._drawer(key=b"key-one!").value(0) != self._drawer(
+            key=b"key-two!"
+        ).value(0)
 
     def test_domain_sensitivity(self):
-        assert prf_value(b"key", b"d1", 0) != prf_value(b"key", b"d2", 0)
+        assert self._drawer(domain=b"d1").value(0) != self._drawer(domain=b"d2").value(0)
+
+    def test_values_are_256_bit(self):
+        assert 0 <= self._drawer().value(0) < 1 << 256
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            prf_value(b"key", b"domain", -1)
+            self._drawer().value(-1)
 
-    def test_values_are_256_bit(self):
-        value = prf_value(b"key", b"domain", 0)
-        assert 0 <= value < 1 << 256
+    def test_block_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            self._drawer().block([0, -1])
+        with pytest.raises(ValueError):
+            self._drawer().block(iter([5, 6, 7, -2]))
+
+    def test_same_key_same_domain_agree(self):
+        # The property reversibility rests on: both protocol sides, each
+        # holding its own key object of the same material, see the
+        # identical stream.
+        anonymizer = AccessKey.from_passphrase(1, "shared")
+        peeler = AccessKey.from_dict(anonymizer.to_dict())
+        domain = _transition_domain(1)
+        indices = range(10)
+        assert PrfDrawer(anonymizer.hmac, domain).block(indices) == PrfDrawer(
+            peeler.hmac, domain
+        ).block(indices)
+        assert [keyed_draw(anonymizer, s) for s in range(1, 6)] == [
+            keyed_draw(peeler, s) for s in range(1, 6)
+        ]
+
+    def test_levels_draw_independent_streams(self):
+        # The same material at two levels draws two unrelated streams, and
+        # no level's transition domain is a prefix of another's, so the
+        # message ``domain || uint64(index)`` names one (level, index) only.
+        material = b"shared-material!"
+        low, high = AccessKey(1, material), AccessKey(2, material)
+        for step in range(1, 6):
+            assert keyed_draw(low, step) != keyed_draw(high, step)
+        domains = [_transition_domain(level) for level in range(1, 200)]
+        for a in domains:
+            for b in domains:
+                assert a == b or not b.startswith(a)
+
+    def test_block_matches_value(self):
+        drawer = self._drawer()
+        indices = [0, 1, 7, 1 << 24, (9 << 24) | 3, 10_000]
+        assert drawer.block(indices) == tuple(drawer.value(i) for i in indices)
+        assert drawer.block([]) == ()
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_no_accidental_collisions_nearby(self, index):
-        assert prf_value(b"key", b"domain", index) != prf_value(
-            b"key", b"domain", index + 1
-        )
-
-
-class TestDerivePad:
-    def test_deterministic(self):
-        assert derive_pad(b"key", b"domain") == derive_pad(b"key", b"domain")
-
-    def test_width(self):
-        assert len(derive_pad(b"key", b"domain", 8)) == 8
-        assert len(derive_pad(b"key", b"domain", 32)) == 32
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            derive_pad(b"key", b"domain", 0)
-        with pytest.raises(ValueError):
-            derive_pad(b"key", b"domain", 33)
-
-    def test_independent_of_prf_stream(self):
-        # The pad must not equal any early stream value's prefix (domain
-        # separation via the "|pad" suffix).
-        pad = derive_pad(b"key", b"domain", 32)
-        stream_value = prf_value(b"key", b"domain", 0)
-        assert int.from_bytes(pad, "big") != stream_value
-
-
-class TestPrfStream:
-    def test_sequential_matches_random_access(self):
-        stream = PrfStream(b"secret")
-        values = [stream.next_value() for __ in range(5)]
-        assert values == [stream.value_at(i) for i in range(5)]
-
-    def test_cursor_tracks(self):
-        stream = PrfStream(b"secret")
-        assert stream.cursor == 0
-        stream.next_value()
-        assert stream.cursor == 1
-
-    def test_reset(self):
-        stream = PrfStream(b"secret")
-        first = stream.next_value()
-        stream.reset()
-        assert stream.next_value() == first
-
-    def test_values_iterator(self):
-        stream = PrfStream(b"secret")
-        assert list(stream.values(3)) == [stream.value_at(i) for i in range(3)]
-        assert list(stream.values(2, start=5)) == [
-            stream.value_at(5),
-            stream.value_at(6),
-        ]
-
-    def test_values_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            list(PrfStream(b"secret").values(-1))
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(ValueError):
-            PrfStream(b"")
-
-    def test_fork_is_independent(self):
-        stream = PrfStream(b"secret", domain=b"base")
-        fork = stream.fork(b"sub")
-        assert fork.value_at(0) != stream.value_at(0)
-
-    def test_same_key_same_domain_agree(self):
-        # the property reversibility rests on: both protocol sides see the
-        # identical stream
-        a = PrfStream(b"secret", domain=b"level-1")
-        b = PrfStream(b"secret", domain=b"level-1")
-        assert [a.next_value() for __ in range(10)] == [
-            b.next_value() for __ in range(10)
-        ]
-
-
-class TestKeyedDigestPlane:
-    def test_keyed_digest_matches_hmac_module(self):
-        import hashlib
-        import hmac
-
-        from repro.keys import keyed_digest
-
-        for key in (b"12345678", b"k" * 32, b"q" * 100):  # incl. > block size
-            for message in (b"", b"m", b"x" * 200):
-                assert keyed_digest(key, message) == hmac.new(
-                    key, message, hashlib.sha256
-                ).digest()
-
-    def test_keyed_digest_block_matches_per_call(self):
-        from repro.keys import keyed_digest, keyed_digest_block
-
-        messages = [f"msg-{i}".encode() for i in range(20)]
-        assert keyed_digest_block(b"key-bytes", messages) == [
-            keyed_digest(b"key-bytes", m) for m in messages
-        ]
-
-    def test_lru_keeps_recently_used_keys(self):
-        # Eviction is least-recently-used, not a wholesale clear: after
-        # overflowing the cap, the most recently touched keys must still be
-        # resident while the stalest are gone.
-        from repro.keys import keyed_digest, purge_keyed_hmac_cache
-        from repro.keys.prf import _KEYED_HMAC_CACHE, _KEYED_HMAC_CACHE_CAP
-
-        purge_keyed_hmac_cache()
-        keys = [b"lru-key-%04d" % i for i in range(_KEYED_HMAC_CACHE_CAP + 16)]
-        for key in keys:
-            keyed_digest(key, b"probe")
-        assert len(_KEYED_HMAC_CACHE) == _KEYED_HMAC_CACHE_CAP
-        assert keys[0] not in _KEYED_HMAC_CACHE  # stalest evicted
-        assert keys[-1] in _KEYED_HMAC_CACHE  # freshest resident
-        # Touching a resident key protects it from the next eviction wave.
-        survivor = keys[17]
-        keyed_digest(survivor, b"probe")
-        for i in range(_KEYED_HMAC_CACHE_CAP - 1):
-            keyed_digest(b"wave-two-%04d" % i, b"probe")
-        assert survivor in _KEYED_HMAC_CACHE
-        purge_keyed_hmac_cache()
-
-    def test_purge_empties_cache(self):
-        from repro.keys import keyed_digest, purge_keyed_hmac_cache
-        from repro.keys.prf import _KEYED_HMAC_CACHE
-
-        keyed_digest(b"purgeable-key", b"m")
-        assert _KEYED_HMAC_CACHE
-        purge_keyed_hmac_cache()
-        assert not _KEYED_HMAC_CACHE
-        # ... and digests still work (cache repopulates).
-        keyed_digest(b"purgeable-key", b"m")
-
-
-class TestPrfBlockPlane:
-    def test_prf_block_matches_per_call(self):
-        from repro.keys import prf_block
-
-        indices = [0, 1, 7, 1 << 24, (9 << 24) | 3, 10_000]
-        assert prf_block(b"key", b"domain", indices) == tuple(
-            prf_value(b"key", b"domain", i) for i in indices
-        )
-
-    def test_prf_block_rejects_negative_index(self):
-        from repro.keys import prf_block
-
-        with pytest.raises(ValueError):
-            prf_block(b"key", b"domain", [0, -1])
+        drawer = self._drawer()
+        assert drawer.value(index) != drawer.value(index + 1)
 
     @given(
-        key=st.binary(min_size=1, max_size=80),
+        key=st.binary(min_size=8, max_size=80),
         domain=st.binary(max_size=40),
         start=st.integers(min_value=0, max_value=1 << 30),
         count=st.integers(min_value=0, max_value=40),
     )
-    def test_block_equals_stream_property(self, key, domain, start, count):
-        # The tentpole equivalence: batched drawing is byte-identical to
-        # the per-call stream for arbitrary keys/domains/windows.
-        from repro.keys import prf_block
-
+    def test_block_equals_per_call_property(self, key, domain, start, count):
+        # Batched drawing is byte-identical to single draws and to the
+        # stdlib definition for arbitrary keys, domains and windows.
+        drawer = PrfDrawer(KeyedHmac(key), domain)
         indices = range(start, start + count)
-        assert prf_block(key, domain, indices) == tuple(
-            prf_value(key, domain, i) for i in indices
-        )
-
-    def test_prf_drawer_single_and_block(self):
-        from repro.keys import PrfDrawer
-
-        drawer = PrfDrawer(b"key", b"domain")
-        assert drawer.value(5) == prf_value(b"key", b"domain", 5)
-        assert drawer.block([2, 9]) == (
-            prf_value(b"key", b"domain", 2),
-            prf_value(b"key", b"domain", 9),
-        )
-        with pytest.raises(ValueError):
-            drawer.value(-1)
-
-    def test_stream_next_block(self):
-        stream = PrfStream(b"secret", domain=b"blk")
-        reference = PrfStream(b"secret", domain=b"blk")
-        values = stream.next_block(6)
-        assert list(values) == [reference.next_value() for __ in range(6)]
-        assert stream.cursor == 6
-        # Mixing planes keeps one coherent stream.
-        assert stream.next_value() == reference.next_value()
-        assert stream.next_block(0) == ()
-
-    def test_stream_block_buffer(self):
-        from repro.keys import PrfBlock
-
-        stream = PrfStream(b"secret", domain=b"blk")
-        block = stream.block(4, start=3)
-        assert isinstance(block, PrfBlock)
-        assert stream.cursor == 0  # blocks never consume
-        assert (block.start, block.stop, len(block)) == (3, 7, 4)
-        assert block.covers(3) and block.covers(6) and not block.covers(7)
-        assert list(block) == [stream.value_at(i) for i in range(3, 7)]
-        # In-window and out-of-window reads agree with the stream.
-        assert block.value_at(5) == stream.value_at(5)
-        assert block.value_at(100) == stream.value_at(100)
-
-    def test_block_rejects_bad_window(self):
-        from repro.keys import PrfBlock
-
-        with pytest.raises(ValueError):
-            PrfBlock(b"key", b"domain", -1, 4)
-        with pytest.raises(ValueError):
-            PrfBlock(b"key", b"domain", 0, -4)
-        with pytest.raises(ValueError):
-            PrfStream(b"key").next_block(-1)
+        expected = tuple(_stdlib_value(key, domain, i) for i in indices)
+        assert drawer.block(indices) == expected
+        assert tuple(drawer.value(i) for i in indices) == expected
 
 
-class TestForkEncoding:
-    def test_fork_slash_collision_is_gone(self):
-        # Regression (bare b"/" join): fork(b"a/b") used to equal
-        # fork(b"a").fork(b"b"). Length-prefixing makes the chain encoding
-        # injective.
-        stream = PrfStream(b"secret", domain=b"base")
-        joined = stream.fork(b"a/b")
-        chained = stream.fork(b"a").fork(b"b")
-        assert joined.domain != chained.domain
-        assert joined.value_at(0) != chained.value_at(0)
-
-    def test_fork_is_deterministic_and_keyed(self):
-        a = PrfStream(b"secret", domain=b"base").fork(b"sub")
-        b = PrfStream(b"secret", domain=b"base").fork(b"sub")
-        assert a.domain == b.domain
-        assert a.value_at(0) == b.value_at(0)
-
-    def test_unforked_streams_unchanged_golden(self):
-        # Envelope bytes rest on unforked domains only (no core call site
-        # passes through fork), so the raw PRF outputs must stay pinned to
-        # the pre-change values. Hard-coded golden vector.
-        value = prf_value(
-            b"golden-key-bytes",
-            b"reversecloak|level=1|transitions",
-            (7 << 24) | 3,
-        )
-        assert value == int(
+class TestKeyedDigests:
+    def test_keyed_draw_golden(self):
+        # Envelope bytes rest on these values; hard-coded golden vector of
+        # HMAC(b"golden-key-bytes", b"reversecloak|level=1|transitions" ||
+        # uint64(7 << 24 | 3)).
+        assert keyed_draw(AccessKey(1, b"golden-key-bytes"), 7, 3) == int(
             "3638301f52c11120a81226c9ca3421b19d2facf69b3109b6e0a789fc1f756fb1",
             16,
         )
+
+    def test_seal_pad_is_domain_separated(self):
+        # The seal pad comes from its own "|pad" message, never from a
+        # transition draw of the same key.
+        key = AccessKey.from_passphrase(1, "pads")
+        pad = seal_anchor(key, 0)
+        assert 0 <= pad < 1 << 64
+        assert pad == seal_anchor(key, 0)
+        assert pad != keyed_draw(key, 1) >> 192
+
+    def test_seal_pad_matches_stdlib_form(self):
+        key = AccessKey.from_passphrase(3, "seal-form")
+        for purpose in ("hint", "start"):
+            message = f"reversecloak|{purpose}|level=3|pad".encode()
+            pad = int.from_bytes(
+                hmac.new(key.material, message, hashlib.sha256).digest()[:8], "big"
+            )
+            assert seal_anchor(key, 0, purpose) == pad
+            assert seal_anchor(key, 4321, purpose) == 4321 ^ pad
+
+    def test_witness_matches_stdlib_form(self):
+        key = AccessKey.from_passphrase(1, "witness-form")
+        for step, anchor in ((1, 0), (2, 57), (40, 1 << 33)):
+            message = f"witness|{step}|{anchor}".encode()
+            assert witness_byte(key, step, anchor) == hmac.new(
+                key.material, message, hashlib.sha256
+            ).digest()[0]
+
+    def test_witness_bytes_match_per_call(self):
+        key = AccessKey.from_passphrase(3, "witness-block")
+        anchors = [17, 4, 4, 1 << 40, 0, 923]
+        assert witness_bytes(key, anchors) == tuple(
+            witness_byte(key, step, anchor)
+            for step, anchor in enumerate(anchors, start=1)
+        )
+        assert witness_bytes(key, []) == ()
+
+    def test_level_mac_matches_stdlib_form(self):
+        key = AccessKey.from_passphrase(2, "mac")
+        args = (2, 5, 123, 456, (1, 2, 3, 4, 5), "abcd", "rge", "net")
+        message = b"v1|2|5|123|456|1,2,3,4,5|abcd|rge|net"
+        assert level_mac(key, *args) == hmac.new(
+            key.material, message, hashlib.sha256
+        ).hexdigest()[:32]
+        bare = (2, 5, None, None, (), "abcd", "rple", "net")
+        assert level_mac(key, *bare) == hmac.new(
+            key.material, b"v1|2|5|-|-||abcd|rple|net", hashlib.sha256
+        ).hexdigest()[:32]

@@ -410,7 +410,6 @@ class TestCoalescing:
             {"batch_window_ms": -1.0},
             {"max_pending": 0},
             {"max_connection_pending": 0},
-            {"serve_threads": 0},
             {"idle_timeout_s": 0.0},
             {"idle_timeout_s": -1.0},
             {"max_write_buffer_bytes": 0},
