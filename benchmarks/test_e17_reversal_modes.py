@@ -1,14 +1,18 @@
-"""E17 (ablation) — what each piece of the reversal machinery buys.
+"""E17 (ablation) — what the sealed metadata buys a full peel.
 
 DESIGN.md decision D13 equips envelopes with three keyed metadata items:
-sealed bootstrap, sealed start anchor, per-step witness bytes. This
-ablation compares reversal *work* (measured as backward-hypothesis
-evaluations) and wall-clock across the modes:
+sealed bootstrap, sealed start anchor, per-step witness bytes. With every
+key, a hinted full peel unseals level 1's start (the user's segment) and
+replays the whole chain forward, checking each level against its seals:
+it makes no backward lookup at all. This ablation compares reversal *work*
+(measured as backward-hypothesis evaluations) and wall-clock across the
+modes:
 
-* hint mode with witnesses (the default),
+* hint mode (the default): the forward replay,
+* hint mode with certification disabled: ``validate_reversals=False``
+  changes only partial peels, so a full peel is the same replay,
 * search mode on the same hinted envelope (ignores the seals — the
-  paper-faithful hypothesis search),
-* hint mode with certification disabled (fastest, trades tamper evidence).
+  paper-faithful hypothesis search).
 """
 
 import pytest
@@ -58,7 +62,7 @@ def test_e17_reversal_mode_ablation(benchmark, results_path):
     table = ResultTable(
         "E17",
         f"Reversal-mode ablation (RGE, k={K}, {USERS} envelopes): "
-        "work and wall-clock per full peel",
+        "work and wall-clock per full peel (hinted: forward replay)",
         ["mode", "mean_ms", "backward_lookups", "exact", "collisions"],
     )
 

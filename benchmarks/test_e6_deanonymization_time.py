@@ -1,8 +1,11 @@
 """E6 — De-anonymization time vs k and per peeled level.
 
 The requester-side cost: peeling a hinted envelope down to L0 as k grows,
-for both algorithms, plus the per-level breakdown (outer levels remove more
-segments, so peeling them dominates).
+for both algorithms, plus the per-level breakdown. Partial grants peel
+top-down, so each extra level peeled costs more. A full peel to L0 instead
+replays the whole chain forward from level 1's sealed start: it makes no
+backward lookup, costs about what the cloak cost, and so comes out cheaper
+than peeling the top level alone (E6b).
 """
 
 import pytest
@@ -79,6 +82,30 @@ def test_e6_deanonymization_time_vs_k(
 
     benchmark(lambda: rge_engine.deanonymize(envelope, chain3, target_level=0))
 
-    # Shape: more keys peeled -> more work; larger k -> more work.
-    assert breakdown.column("mean_ms")[-1] >= breakdown.column("mean_ms")[0]
+    # Shape: top-down partial peels cost more as more levels are peeled;
+    # larger k -> more work.
+    assert breakdown.column("mean_ms")[1] >= breakdown.column("mean_ms")[0]
     assert rge_series[-1] > rge_series[0]
+
+    # The full peel is one forward replay: no backward lookup, and one
+    # forward transition per published step.
+    calls = {"backward_hypotheses": 0, "forward_step": 0}
+    algorithm = rge_engine.algorithm
+
+    def counted(name):
+        original = getattr(algorithm, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counting
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(algorithm, name, counted(name))
+        rge_engine.deanonymize(envelope, chain3, target_level=0)
+    assert calls == {
+        "backward_hypotheses": 0,
+        "forward_step": envelope.total_steps(),
+    }

@@ -18,6 +18,11 @@ exactly. Three bootstrap modes (decision D1):
 * ``"search"`` — paper-faithful hypothesis search over frontier-removable
   segments with replay certification,
 * ``"auto"`` — hints when present, search otherwise.
+
+A hint or auto peel of a hinted envelope to L0 replays the whole chain
+forward from level 1's sealed start (the user's segment) at the cost of the
+cloak. Partial grants, which lack the key that opens L0, and search mode
+peel top-down with :func:`~repro.core.reversal.peel_level`'s search.
 """
 
 from __future__ import annotations
@@ -157,9 +162,9 @@ class ReverseCloakEngine:
         network: The shared road map.
         algorithm: A :class:`CloakingAlgorithm`; defaults to RGE.
         branch_limit: Hypothesis cap per level peel.
-        validate_reversals: Certify every peel by forward replay (default
-            on; turning it off makes hint-mode reversal fastest but trades
-            away tamper detection).
+        validate_reversals: Certify top-down peels by forward replay
+            (default on; off trades away tamper detection). It matters only
+            for partial hinted grants and auto peels of hint-free envelopes.
         incremental: Maintain one :class:`RegionState` across the whole
             multi-level expansion (and per-region bookkeeping during
             reversal) so each step costs O(deg) instead of O(|region|).
@@ -435,11 +440,20 @@ class ReverseCloakEngine:
                     f"missing key for level {level} (need levels "
                     f"{target_level + 1}..{top})"
                 )
+        if (
+            target_level == 0
+            and mode != "search"
+            and envelope.level_record(1).sealed_start is not None
+        ):
+            return self._replay_chain(
+                envelope, key_map, mode, draws_cache, checkpoint
+            )
 
         regions: Dict[int, Tuple[int, ...]] = {top: envelope.region}
         removed: Dict[int, Tuple[int, ...]] = {}
         region = frozenset(envelope.region)
-        chained_anchors: Tuple[int, ...] = ()
+        # Certified removal orders of the level above, by start anchor.
+        orders: Dict[int, Tuple[int, ...]] = {}
         for level in range(top, target_level, -1):
             if checkpoint is not None:
                 checkpoint()
@@ -448,42 +462,23 @@ class ReverseCloakEngine:
             record.verify_key(key, envelope.algorithm, envelope.net_digest)
             # One shared draw buffer per level peel: every hypothesis and
             # replay certification below re-reads the same keyed values.
-            # A batch caller's cache widens the sharing to sibling
-            # envelopes peeled under the same key.
-            if not self._batched_prf:
-                draws = None
-            elif draws_cache is not None:
-                draws = draws_cache.draws_for(key, lookahead=record.steps)
-            else:
-                draws = LevelDraws(key, lookahead=record.steps)
+            draws = self._level_draws(key, record.steps, draws_cache)
             if region_digest(region) != record.digest:
                 raise EnvelopeError(
                     f"level {level} digest mismatch: envelope inconsistent"
                 )
-            if level == 1 and mode != "search" and record.sealed_start is not None:
-                # Level 1's sealed start anchor *is* the L0 region, so the
-                # innermost peel reduces to a forward replay — O(steps),
-                # no hypothesis search. This matters: level 1 typically
-                # adds the most segments of any level.
-                region, removed[1] = self._reconstruct_level_one(
-                    record, key, region, draws=draws
-                )
-                regions[0] = tuple(sorted(region))
-                continue
             bootstraps = self._bootstraps_for(
-                mode, record, key, region, chained_anchors
+                mode, record, key, region, tuple(sorted(orders))
             )
             expected_digest = (
                 envelope.level_record(level - 1).digest if level - 1 >= 1 else None
             )
-            expected_start: Optional[int] = None
+            accept = None
             if mode != "search" and record.sealed_start is not None:
-                expected_start = unseal_anchor(key, record.sealed_start, "start")
-            accept = (
-                self._hint_acceptor(expected_start, expected_digest)
-                if expected_start is not None
-                else None
-            )
+                accept = self._hint_acceptor(
+                    unseal_anchor(key, record.sealed_start, "start"),
+                    expected_digest,
+                )
             witness_filter = None
             if mode != "search" and record.witnesses:
                 witness_filter = self._witness_filter(key, record.witnesses)
@@ -511,18 +506,19 @@ class ReverseCloakEngine:
                         f"metadata (wrong key or tampered envelope)"
                     )
                 outcome = outcomes[0]
-                chained_anchors = (outcome.start_anchor,)
             else:
                 outcome = self._select_outcome(outcomes, level, expected_digest)
-                chained_anchors = tuple(
-                    sorted(
-                        {
-                            o.start_anchor
-                            for o in outcomes
-                            if o.inner_region == outcome.inner_region
-                        }
-                    )
-                )
+            if orders:
+                # Several certified orders of the level above can reach this
+                # region; only the one starting at this level's last
+                # addition chains on (search mode, levels >= 2).
+                last = outcome.removed[0] if outcome.removed else outcome.start_anchor
+                removed[level + 1] = orders.get(last, removed[level + 1])
+            orders = {
+                o.start_anchor: o.removed
+                for o in outcomes
+                if o.inner_region == outcome.inner_region
+            }
             removed[level] = outcome.removed
             region = outcome.inner_region
             regions[level - 1] = tuple(sorted(region))
@@ -594,50 +590,112 @@ class ReverseCloakEngine:
             return chained_anchors
         return enumerate_bootstraps(self._network, region)
 
-    def _reconstruct_level_one(
-        self,
-        record: LevelRecord,
-        key: AccessKey,
-        region: frozenset,
-        draws: Optional[LevelDraws] = None,
-    ) -> Tuple[frozenset, Tuple[int, ...]]:
-        """Peel level 1 by forward replay from the sealed user segment.
+    def _level_draws(
+        self, key: AccessKey, steps: int, draws_cache: Optional[DrawsCache]
+    ) -> Optional[LevelDraws]:
+        """One level's draw buffer, shared batch-wide through ``draws_cache``."""
+        if not self._batched_prf:
+            return None
+        if draws_cache is not None:
+            return draws_cache.draws_for(key, lookahead=steps)
+        return LevelDraws(key, lookahead=steps)
 
-        Returns ``(L0 region, removed sequence)``. Every mismatch — start
-        not in the region, replay diverging from the published region, or
-        the replay's last addition contradicting the sealed bootstrap —
-        indicates a wrong key or tampering and raises.
+    def _replay_chain(
+        self,
+        envelope: CloakEnvelope,
+        key_map: Dict[int, AccessKey],
+        mode: str,
+        draws_cache: Optional[DrawsCache],
+        checkpoint: Optional[Callable[[], None]],
+    ) -> DeanonymizationResult:
+        """Peel every level by forward replay from the sealed user segment.
+
+        Level 1's sealed start is the L0 region; each level then replays
+        from the region and last-added anchor of the level below. A start,
+        digest, hint or final region that disagrees with the replay means
+        a wrong key or a tampered envelope.
         """
-        assert record.sealed_start is not None
-        start = unseal_anchor(key, record.sealed_start, "start")
-        if start not in region:
-            raise KeyMismatchError(
-                "unsealed level-1 start anchor is not in the region "
-                "(wrong key or tampered envelope)"
+        records = envelope.levels
+        for record in reversed(records):
+            record.verify_key(
+                key_map[record.level], envelope.algorithm, envelope.net_digest
             )
-        additions = replay_level(
-            self._network,
-            self._algorithm,
-            key,
-            {start},
-            start,
-            record.steps,
-            record.tolerance,
-            use_state=self._incremental,
-            draws=draws,
-        )
-        if additions is None or frozenset({start}) | set(additions) != region:
-            raise KeyMismatchError(
-                "level-1 forward replay does not regenerate the region "
-                "(wrong key or tampered envelope)"
+        outer = frozenset(envelope.region)
+        if region_digest(outer) != records[-1].digest:
+            raise EnvelopeError(
+                f"level {len(records)} digest mismatch: envelope inconsistent"
             )
-        if additions and record.sealed_anchor is not None:
-            bootstrap = unseal_anchor(key, record.sealed_anchor, "hint")
-            if additions[-1] != bootstrap:
+        if mode == "hint":
+            for record in reversed(records[1:]):
+                if record.sealed_anchor is None:
+                    raise DeanonymizationError(
+                        f"level {record.level} carries no sealed hint; use "
+                        "search mode"
+                    )
+        # Each step adds one new segment, so the region bounds the replay's
+        # work. A key holder can MAC a forged step count.
+        if 1 + envelope.total_steps() != len(outer):
+            raise EnvelopeError(
+                f"levels claim {envelope.total_steps()} additions but the "
+                f"region has {len(outer)} segments"
+            )
+        tampered = "(wrong key or tampered envelope)"
+        region, anchor = frozenset(), -1
+        regions: Dict[int, Tuple[int, ...]] = {}
+        removed: Dict[int, Tuple[int, ...]] = {}
+        for record in records:
+            if checkpoint is not None:
+                checkpoint()
+            level, key = record.level, key_map[record.level]
+            draws = self._level_draws(key, record.steps, draws_cache)
+            if record.sealed_start is not None:
+                start = unseal_anchor(key, record.sealed_start, "start")
+                if level == 1:
+                    if start not in outer:
+                        raise KeyMismatchError(
+                            "unsealed level-1 start anchor is not in the "
+                            f"region {tampered}"
+                        )
+                    region, anchor = frozenset((start,)), start
+                    regions[0] = (start,)
+                elif start != anchor:
+                    raise KeyMismatchError(
+                        f"no reversal of level {level} matches the sealed "
+                        f"metadata {tampered}"
+                    )
+            additions = replay_level(
+                self._network, self._algorithm, key, region, anchor,
+                record.steps, record.tolerance, use_state=self._incremental,
+                draws=draws,
+            )
+            if additions is not None:
+                region = region.union(additions)
+            if additions is None or region_digest(region) != record.digest:
                 raise KeyMismatchError(
-                    "level-1 replay contradicts the sealed bootstrap hint"
+                    f"level-{level} forward replay does not regenerate the "
+                    f"region {tampered}"
                 )
-        return frozenset({start}), tuple(reversed(additions))
+            anchor = additions[-1] if additions else anchor
+            if (
+                record.sealed_anchor is not None
+                and unseal_anchor(key, record.sealed_anchor) != anchor
+            ):
+                raise KeyMismatchError(
+                    f"level-{level} replay contradicts the sealed bootstrap hint"
+                )
+            regions[level] = tuple(sorted(region))
+            removed[level] = tuple(reversed(additions))
+        if region != outer:
+            raise KeyMismatchError(
+                f"level-{len(records)} forward replay does not regenerate "
+                f"the region {tampered}"
+            )
+        # Top level first, as the top-down peel fills them.
+        return DeanonymizationResult(
+            target_level=0,
+            regions=dict(reversed(regions.items())),
+            removed=dict(reversed(removed.items())),
+        )
 
     @staticmethod
     def _witness_filter(key: AccessKey, witnesses: Tuple[int, ...]):
@@ -651,23 +709,22 @@ class ReverseCloakEngine:
         return matches
 
     @staticmethod
-    def _hint_acceptor(expected_start: int, expected_digest: Optional[str]):
+    def _hint_acceptor(expected_start: int, expected_digest: str):
         """The outcome predicate of hint-mode reversal.
 
         The sealed start anchor pins the chain's origin, and the level
-        below's public region digest pins the inner region (for level-1
-        peels the inner region is exactly the start anchor's segment).
-        Forward replay from a pinned (inner region, start anchor) is
-        deterministic, so at most one certified outcome can match — the
-        peel may therefore stop at the first match.
+        below's public region digest pins the inner region. (Level 1 is
+        never peeled this way: a sealed level-1 start sends the whole peel
+        down the forward replay.) Forward replay from a pinned (inner
+        region, start anchor) is deterministic, so at most one certified
+        outcome can match — the peel may therefore stop at the first match.
         """
 
         def accept(outcome: PeelOutcome) -> bool:
-            if outcome.start_anchor != expected_start:
-                return False
-            if expected_digest is not None:
-                return region_digest(outcome.inner_region) == expected_digest
-            return outcome.inner_region == frozenset({expected_start})
+            return (
+                outcome.start_anchor == expected_start
+                and region_digest(outcome.inner_region) == expected_digest
+            )
 
         return accept
 

@@ -276,8 +276,9 @@ class CloakEnvelope:
     snapshot_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.region)) != self.region:
-            raise EnvelopeError("envelope region must be sorted ascending")
+        # No repeats either: the level MACs bind only the segment *set*.
+        if tuple(sorted(set(self.region))) != self.region:
+            raise EnvelopeError("envelope region must be strictly ascending")
         if not self.region:
             raise EnvelopeError("envelope region must be non-empty")
         expected = list(range(1, len(self.levels) + 1))

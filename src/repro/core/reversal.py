@@ -19,9 +19,12 @@ over hypotheses:
   most one removal sequence per (inner region, start anchor) survives.
 
 With a sealed hint and a collision-free table the search degenerates to a
-straight-line walk — the common, fast path. The search breadth is capped;
-exceeding the cap raises :class:`~repro.errors.CollisionError` rather than
-silently exploring an exponential space.
+straight-line walk — the path of partial grants. A holder of every key
+needs no search at all: level 1's sealed start is the user's segment, so
+the engine replays the whole chain forward with :func:`replay_level`. The
+search breadth is capped; exceeding the cap raises
+:class:`~repro.errors.CollisionError` rather than silently exploring an
+exponential space.
 
 Complexity and the checkpoint/rollback search discipline: the search owns
 **one** undo-logged :class:`~repro.core.region_state.RegionState` for the
@@ -79,39 +82,12 @@ __all__ = [
     "peel_level",
     "replay_level",
     "enumerate_bootstraps",
-    "incremental_threshold",
 ]
 
 #: Default cap on explored hypotheses per level peel. RPLE dead-anchor
 #: relocation (decision D12) can fan out several quickly-pruned hypotheses
 #: per step, so the cap is generous; genuine run-aways still terminate.
 DEFAULT_BRANCH_LIMIT = 20_000
-
-#: Calibrated cost ratio behind :func:`incremental_threshold`: roughly how
-#: many neighbour-scan units a from-scratch hinted step may burn before
-#: building/maintaining incremental state breaks even. Measured on grid
-#: maps (mean segment degree ~6), where the crossover sits at ~32-member
-#: regions — the value PR 1 hard-coded before the compiled plane existed.
-_CROSSOVER_STEP_COST = 192
-
-
-def incremental_threshold(network: RoadNetwork) -> int:
-    """Region-size crossover for the incremental bookkeeping of ``network``.
-
-    Below it, a *hinted* (witness/accept-pinned, straight-line) peel is
-    cheaper with the original from-scratch recomputes than with maintained
-    :class:`RegionState` bookkeeping — the fixed costs (state construction,
-    exact-length accumulation) dominate tiny regions. The from-scratch step
-    costs O(|R| * deg) while the maintained step costs ~O(deg), so the
-    break-even member count scales inversely with the map's mean segment
-    degree — read off the compiled plane instead of hard-coding the grid
-    answer. Search-mode peels keep the states at every size: they revisit
-    regions across many hypotheses, so the caches amortise even when
-    small. Both paths are behaviourally identical, so crossing over is
-    purely a constant-factor choice.
-    """
-    mean_degree = network.compiled().avg_degree
-    return max(8, int(_CROSSOVER_STEP_COST / max(mean_degree, 1.0)))
 
 
 class DrawsCache:
@@ -202,12 +178,9 @@ def replay_level(
     (which certifies the hypothesis as inconsistent). One incremental
     :class:`RegionState` is maintained across the whole replay (O(deg) per
     step after the O(|region| * deg) initialisation) unless ``use_state``
-    is off or the final region is below the incremental crossover size.
-    ``draws`` serves the keyed values from the batched PRF plane — pass the
-    peel's shared buffer so replays never recompute a draw.
+    is off. ``draws`` serves the keyed values from the batched PRF plane —
+    pass the peel's shared buffer so replays never recompute a draw.
     """
-    if len(start_region) + steps <= incremental_threshold(network):
-        use_state = False
     state: Optional[RegionState] = (
         RegionState.from_region(network, start_region) if use_state else None
     )
@@ -355,15 +328,6 @@ def peel_level(
     outcomes: List[PeelOutcome] = []
     seen_outcomes = set()
     budgets = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
-
-    # Hinted peels walk one straight chain of small regions; below the
-    # crossover the from-scratch recomputes win on constants.
-    if (
-        use_states
-        and (witness_filter is not None or accept is not None)
-        and len(outer) <= incremental_threshold(network)
-    ):
-        use_states = False
 
     # Incremental bookkeeping shared across the whole peel (all budgets).
     #
@@ -573,10 +537,11 @@ def peel_level(
                 )
                 if accept is not None and not accept(outcome):
                     continue
-                if validate and not _certify(
-                    network, algorithm, key, outcome, tolerance, use_states,
-                    draws=draws,
-                ):
+                # Certify by forward replay: it must regenerate the chain.
+                if validate and replay_level(
+                    network, algorithm, key, inner, start, len(removed_seq),
+                    tolerance, use_state=use_states, draws=draws,
+                ) != outcome.added_sequence:
                     continue
                 seen_outcomes.add(signature)
                 outcomes.append(outcome)
@@ -584,26 +549,3 @@ def peel_level(
                     return outcomes
     return outcomes
 
-
-def _certify(
-    network: RoadNetwork,
-    algorithm: CloakingAlgorithm,
-    key: AccessKey,
-    outcome: PeelOutcome,
-    tolerance: ToleranceSpec,
-    use_state: bool = True,
-    draws: Optional[LevelDraws] = None,
-) -> bool:
-    """Forward-replay certification of a completed peel hypothesis."""
-    replayed = replay_level(
-        network,
-        algorithm,
-        key,
-        outcome.inner_region,
-        outcome.start_anchor,
-        len(outcome.removed),
-        tolerance,
-        use_state=use_state,
-        draws=draws,
-    )
-    return replayed == outcome.added_sequence

@@ -169,6 +169,14 @@ class TestCloakEnvelope:
                 levels=(record,),
             )
 
+    def test_repeated_segment_id_rejected_from_the_wire(self, key):
+        # Sorted but repeated: the level MACs bind only the segment set, so
+        # the envelope itself must refuse the duplicate.
+        document = self._envelope(key).to_dict()
+        document["region"] = [1, 1, 2, 3, 4]
+        with pytest.raises(EnvelopeError, match="strictly ascending"):
+            CloakEnvelope.from_dict(document)
+
     def test_empty_region_rejected(self, key):
         with pytest.raises(EnvelopeError):
             CloakEnvelope(

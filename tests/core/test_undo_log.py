@@ -10,9 +10,9 @@ Three layers of assurance, matching the PR's equivalence contract:
 * golden-vector pinning: engine de-anonymization (hint and search modes,
   RGE and RPLE) must be byte-identical with the undo-log path on and off,
   and `peel_level` itself must return identical outcome lists;
-* the derived small-hinted-peel crossover (`incremental_threshold`) must
-  come from the compiled plane and behave identically on either side of
-  the boundary.
+* hinted peels run on maintained state at every region size, so small
+  regions must peel exactly as the from-scratch `incremental=False` oracle
+  does — both the full-chain forward replay and partial top-down grants.
 """
 
 import random
@@ -31,7 +31,6 @@ from repro import (
     random_delaunay_network,
 )
 from repro.core import enumerate_bootstraps, peel_level
-from repro.core.reversal import _CROSSOVER_STEP_COST, incremental_threshold
 from repro.errors import CloakingError
 from repro.keys import AccessKey
 
@@ -211,43 +210,31 @@ class TestGoldenEquivalence:
         assert any(o.inner_region == frozenset({44}) for o in outcomes_undo)
 
 
-class TestDerivedThreshold:
-    def test_threshold_comes_from_compiled_plane(self):
-        for network in (GRID, DELAUNAY):
-            expected = max(
-                8,
-                int(_CROSSOVER_STEP_COST / max(network.compiled().avg_degree, 1.0)),
-            )
-            assert incremental_threshold(network) == expected
-
-    def test_denser_maps_cross_over_sooner(self):
-        # Mean degree orders the crossover: the denser map needs fewer
-        # members before maintained state beats from-scratch recomputes.
-        sparse = grid_network(4, 4)
-        dense = grid_network(30, 30)
-        assert sparse.compiled().avg_degree < dense.compiled().avg_degree
-        assert incremental_threshold(sparse) >= incremental_threshold(dense)
-
-    def test_hinted_peel_identical_across_boundary(self):
-        """Regression at the crossover: hinted de-anonymization must agree
-        between the incremental and from-scratch paths for region sizes
-        straddling the derived threshold exactly."""
-        network = grid_network(12, 12)
-        threshold = incremental_threshold(network)
+class TestMaintainedStateAtEverySize:
+    @pytest.mark.parametrize("network", [GRID, DELAUNAY], ids=["grid", "delaunay"])
+    def test_hinted_peel_matches_from_scratch_oracle(self, network):
+        """Hinted peels to L0 (chain replay) and to a partial target
+        (top-down search) agree with the from-scratch oracle from 4- to
+        40-segment regions: small regions run on maintained state too."""
         snapshot = PopulationSnapshot.from_counts(
             {sid: 1 for sid in network.segment_ids()}
         )
-        chain = KeyChain.from_passphrases(["boundary-key"])
-        user = network.segment_ids()[50]
-        for target in (threshold - 1, threshold, threshold + 1):
+        chain = KeyChain.from_passphrases(["size-key-1", "size-key-2"])
+        user = sorted(network.segment_ids())[len(network.segment_ids()) // 2]
+        fast = ReverseCloakEngine(network)
+        slow = ReverseCloakEngine(network, incremental=False)
+        sizes = []
+        for target in range(4, 41, 4):
             profile = PrivacyProfile.uniform(
-                levels=1, base_k=target, k_step=1, base_l=3, l_step=1,
-                max_segments=2 * target + 4,
+                levels=2, base_k=target // 2, k_step=target - target // 2,
+                base_l=2, l_step=1, max_segments=2 * target + 4,
             )
-            fast = ReverseCloakEngine(network)
-            slow = ReverseCloakEngine(network, incremental=False)
             envelope = fast.anonymize(user, snapshot, profile, chain)
             assert envelope == slow.anonymize(user, snapshot, profile, chain)
-            assert fast.deanonymize(envelope, chain, 0, mode="hint") == (
-                slow.deanonymize(envelope, chain, 0, mode="hint")
-            )
+            sizes.append(len(envelope.region))
+            for target_level in (0, 1):
+                keys = chain.suffix(target_level + 1)
+                assert fast.deanonymize(
+                    envelope, keys, target_level, mode="hint"
+                ) == slow.deanonymize(envelope, keys, target_level, mode="hint")
+        assert min(sizes) <= 5 and max(sizes) >= 40

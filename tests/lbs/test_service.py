@@ -402,6 +402,21 @@ class TestHandle:
         assert outcome.error_code == "tolerance_exceeded"
         assert isinstance(outcome.to_exception(), ToleranceExceededError)
 
+    def test_repeated_segment_id_in_envelope_is_structured_error(
+        self, service, traffic_snapshot, profile
+    ):
+        request = _request(traffic_snapshot, profile, tag="dup")
+        envelope = service.cloak(request)
+        document = DeanonymizeRequestDoc(
+            envelope=envelope, keys=tuple(request.chain), target_level=0
+        ).to_dict()
+        region = document["envelope"]["region"]
+        document["envelope"]["region"] = region[:1] + region
+        outcome = OutcomeDoc.from_dict(service.handle(document))
+        assert not outcome.ok
+        assert outcome.error_code == MALFORMED_DOCUMENT
+        assert "strictly ascending" in outcome.error_message
+
     @pytest.mark.parametrize(
         "document",
         [
