@@ -116,10 +116,27 @@ def algorithm_from_spec(
         max_hops = params.get("max_hops")
         return ReversiblePreassignmentExpansion.for_network(
             network,
-            list_length=int(params.get("list_length", 8)),
-            max_hops=None if max_hops is None else int(max_hops),
+            list_length=_int_param(name, "list_length", params.get("list_length", 8)),
+            max_hops=(
+                None if max_hops is None else _int_param(name, "max_hops", max_hops)
+            ),
         )
     raise EnvelopeError(f"unknown algorithm: {name!r}")
+
+
+def _int_param(algorithm: str, field: str, value) -> int:
+    """An integer algorithm parameter from wire metadata.
+
+    Envelope metadata is untrusted input: a parameter must be a JSON
+    integer (no bool, float or string coercion) small enough to index
+    with; anything else is a malformed envelope, not a crash inside the
+    algorithm's construction.
+    """
+    if type(value) is not int or value.bit_length() >= 63:
+        raise EnvelopeError(
+            f"{algorithm} parameter {field} must be an integer, got {value!r}"
+        )
+    return value
 
 
 def algorithm_for_envelope(

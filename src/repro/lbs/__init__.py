@@ -4,12 +4,10 @@ continuous cloaking."""
 
 from .backends import (
     BackendSpec,
-    BatchOutcome,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
     ReversalEngineCache,
-    ReversalOutcome,
     ThreadPoolBackend,
 )
 from .continuous import CloakTimeline, ContinuousCloaker, TimelineEntry
@@ -27,8 +25,7 @@ from .faults import (
 from .framing import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from .provider import LBSProvider
 from .query import CandidateResult, PoiDirectory, PointOfInterest, range_query
-from .server import TrustedAnonymizer
-from .service import AnonymizerService
+from .service import AnonymizerService, BatchOutcome, ReversalOutcome
 from .wire import (
     BatchOutcomeDoc,
     CloakRequest,
@@ -40,7 +37,6 @@ from .wire import (
 
 __all__ = [
     "AnonymizerService",
-    "TrustedAnonymizer",
     "CloakRequest",
     "BatchOutcome",
     "ReversalOutcome",

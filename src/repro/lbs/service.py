@@ -6,40 +6,48 @@ Section IV's deployment adds the symmetric server-side capability — the
 anonymizer also answers de-anonymization requests from key-holding
 requesters.
 
-:class:`AnonymizerService` is that component, redesigned around two seams:
+:class:`AnonymizerService` is that component, built around two seams:
 
-* **the wire protocol** (:mod:`repro.lbs.wire`) — every entry point has a
-  transport-neutral twin: :meth:`handle` accepts a raw request document
-  and returns an outcome document, so an HTTP/gRPC/queue front-end needs
-  zero knowledge of domain objects;
-* **the execution backend** (:mod:`repro.lbs.backends`) — where batch
-  cloaking work runs (inline, thread pool, sharded process pool) is a
-  constructor choice, not a code path.
+* **the wire protocol** (:mod:`repro.lbs.wire`) — :meth:`handle` accepts a
+  raw request document and returns an outcome document, so an
+  HTTP/gRPC/queue front-end needs zero knowledge of domain objects;
+* **the execution backend** (:mod:`repro.lbs.backends`) — where the work
+  runs (inline, thread pool, sharded process pool) is a constructor
+  choice, not a code path. A backend serves two lanes of raw documents,
+  one for cloaks and one for peels, and every request reaches it through
+  one of them.
+
+:meth:`handle_batch` groups a front-end's coalesced documents into one
+call per lane; :meth:`handle` serves a single cloak or peel as a lane of
+one, so both answer each document alike. The object API (:meth:`cloak`,
+:meth:`cloak_segment`, :meth:`cloak_batch`, :meth:`deanonymize`,
+:meth:`deanonymize_batch`) converts at the edge: requests become wire
+documents, outcome documents become envelopes, results or raised errors.
 
 The service retains *no* per-request state — the defining advantage over
 the mapping-store baseline — apart from lock-guarded bookkeeping counters
 used by experiments. It is thread-safe: batches are pinned to the snapshot
 installed when they start, and a concurrent :meth:`update_snapshot` never
 tears a batch.
-
-:class:`~repro.lbs.server.TrustedAnonymizer` remains as a deprecated thin
-shim over this class.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import CloakingAlgorithm
-from ..core.engine import DeanonymizationResult, ReverseCloakEngine
+from ..core.engine import DeanonymizationResult, _normalize_keys
 from ..core.envelope import CloakEnvelope
 from ..core.profile import PrivacyProfile
+from ..core.rge import ReversibleGlobalExpansion
 from ..errors import (
     CloakingError,
+    DeanonymizationError,
+    EnvelopeError,
     MobilityError,
     OverloadedError,
     ProfileError,
@@ -49,18 +57,9 @@ from ..errors import (
 from ..keys.keys import KeyChain
 from ..mobility.snapshot import PopulationSnapshot
 from ..roadnet.graph import RoadNetwork
-from .backends import (
-    BackendSpec,
-    BatchOutcome,
-    ExecutionBackend,
-    InlineBackend,
-    ReversalEngineCache,
-    ReversalOutcome,
-    ThreadPoolBackend,
-    serve_request,
-)
-from .faults import Deadline
+from .backends import BackendSpec, ExecutionBackend, InlineBackend
 from .wire import (
+    BATCH_OUTCOME_FORMAT,
     CLOAK_REQUEST_FORMAT,
     DEANONYMIZE_BATCH_FORMAT,
     DEANONYMIZE_REQUEST_FORMAT,
@@ -69,7 +68,6 @@ from .wire import (
     STATS_FORMAT,
     STATS_REQUEST_FORMAT,
     WIRE_VERSION,
-    BatchOutcomeDoc,
     CloakRequest,
     CloakRequestDoc,
     DeanonymizeBatchDoc,
@@ -78,7 +76,86 @@ from .wire import (
     error_class_for_code,
 )
 
-__all__ = ["AnonymizerService"]
+__all__ = ["AnonymizerService", "BatchOutcome", "ReversalOutcome"]
+
+#: The typed per-request failure union of :meth:`AnonymizerService.cloak_batch`.
+#: Any other error outcome is a bug or an infrastructure failure and raises.
+ServingError = Union[CloakingError, MobilityError]
+
+#: The typed per-item failure union of
+#: :meth:`AnonymizerService.deanonymize_batch`: wrong or missing keys,
+#: collisions, malformed or foreign envelopes, bad levels. Any other error
+#: outcome raises.
+ReversalServingError = Union[DeanonymizationError, EnvelopeError, ProfileError]
+
+_SERVING_ERRORS = (CloakingError, MobilityError)
+_REVERSAL_ERRORS = (DeanonymizationError, EnvelopeError, ProfileError)
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """The result of one request inside a batch.
+
+    Exactly one of :attr:`envelope` / :attr:`error` is set. Batch serving
+    never lets one failing request abort its siblings; the error object is
+    returned in place so the caller can retry or report per request.
+
+    Attributes:
+        request: The request this outcome answers (same position as in the
+            submitted batch).
+        envelope: The cloaked envelope on success.
+        error: The :class:`~repro.errors.CloakingError` or
+            :class:`~repro.errors.MobilityError` the request failed with —
+            the only failures kept in place; any other error raises out of
+            the batch call.
+    """
+
+    request: CloakRequest
+    envelope: Optional[CloakEnvelope] = None
+    error: Optional[ServingError] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.envelope is not None
+
+
+@dataclass(frozen=True)
+class ReversalOutcome:
+    """The result of one de-anonymization request inside a batch.
+
+    Exactly one of :attr:`result` / :attr:`error` is set; failures sit in
+    place so one bad item (wrong key, tampered envelope, collision) never
+    aborts its siblings.
+
+    Attributes:
+        request: The reversal request this outcome answers (same position
+            as in the submitted batch).
+        result: The recovered per-level regions on success.
+        error: The typed :data:`ReversalServingError` the item failed with
+            — the only failures kept in place; any other error raises out
+            of the batch call.
+    """
+
+    request: DeanonymizeRequestDoc
+    result: Optional[DeanonymizationResult] = None
+    error: Optional[ReversalServingError] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.result is not None
+
+
+def _tally(outcomes: Sequence[dict], counts_as_failure) -> Tuple[int, int]:
+    """(successes, counted failures) of outcome documents: an error counts
+    when ``counts_as_failure`` accepts the exception class of its code."""
+    ok = failures = 0
+    for outcome in outcomes:
+        if outcome.get("status") == "ok":
+            ok += 1
+        else:
+            code = str((outcome.get("error") or {}).get("code", ""))
+            failures += bool(counts_as_failure(error_class_for_code(code)))
+    return ok, failures
 
 
 class AnonymizerService:
@@ -86,11 +163,12 @@ class AnonymizerService:
 
     Args:
         network: The shared road map.
-        algorithm: Cloaking algorithm (defaults to RGE inside the engine).
+        algorithm: Cloaking algorithm (defaults to RGE).
         include_hints: Produce sealed-hint envelopes (decision D1).
-        backend: The :class:`~repro.lbs.backends.ExecutionBackend` batches
-            run on; defaults to :class:`~repro.lbs.backends.InlineBackend`.
-            The service binds (and, on :meth:`close`, releases) it.
+        backend: The :class:`~repro.lbs.backends.ExecutionBackend` every
+            request runs on; defaults to
+            :class:`~repro.lbs.backends.InlineBackend`. The service binds
+            (and, on :meth:`close`, releases) it.
         max_inflight: Optional admission-control budget: the maximum
             number of requests (batch items count individually) allowed in
             flight at once across every serving entry point. Work beyond
@@ -129,18 +207,17 @@ class AnonymizerService:
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
         self._network = network
-        self._engine = ReverseCloakEngine(network, algorithm)
         self._include_hints = include_hints
         self._spec = BackendSpec(
             network=network,
-            algorithm=self._engine.algorithm,
+            algorithm=algorithm or ReversibleGlobalExpansion(),
             include_hints=include_hints,
         )
         self._backend = backend if backend is not None else InlineBackend()
         self._backend.bind(self._spec)
         self._snapshot: Optional[PopulationSnapshot] = None
-        # Counter lock: cloak()/cloak_batch() run concurrently and bare
-        # ``+= 1`` would drop increments under that interleaving.
+        # Counter lock: lanes run concurrently and bare ``+= 1`` would
+        # drop increments under that interleaving.
         self._counter_lock = threading.Lock()
         self._requests_served = 0
         self._failures = 0
@@ -153,19 +230,6 @@ class AnonymizerService:
         self._max_inflight = max_inflight
         self._inflight = 0
         self._requests_shed = 0
-        # Legacy per-call ``max_workers`` widths get a cached thread
-        # backend each (the shim's cloak_batch signature), lazily built.
-        self._width_lock = threading.Lock()
-        self._width_backends: Dict[int, ExecutionBackend] = {}
-        # Reversal engines per algorithm spec seen in envelopes — a
-        # *bounded* LRU: the spec fields are attacker-controlled input on
-        # the ``handle`` wire endpoint, so churning parameters must evict,
-        # not accumulate. The hot path (envelopes matching this service's
-        # own algorithm) is answered by the default engine without
-        # touching the cache.
-        self._reversal_engines = ReversalEngineCache(
-            network, default=self._engine
-        )
 
     # ------------------------------------------------------------------
     # configuration and bookkeeping
@@ -173,10 +237,6 @@ class AnonymizerService:
     @property
     def network(self) -> RoadNetwork:
         return self._network
-
-    @property
-    def engine(self) -> ReverseCloakEngine:
-        return self._engine
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -296,10 +356,6 @@ class AnonymizerService:
     def close(self) -> None:
         """Release the backend's worker resources (idempotent)."""
         self._backend.close()
-        with self._width_lock:
-            for backend in self._width_backends.values():
-                backend.close()
-            self._width_backends.clear()
 
     def __enter__(self) -> "AnonymizerService":
         return self
@@ -308,25 +364,17 @@ class AnonymizerService:
         self.close()
 
     # ------------------------------------------------------------------
-    # cloaking
+    # cloaking (object API)
     # ------------------------------------------------------------------
     def cloak(self, request: CloakRequest) -> CloakEnvelope:
         """Serve one anonymization request.
 
         Looks up the user's current segment in the snapshot, expands per the
-        profile, and returns the envelope.
+        profile, and returns the envelope; a failure raises its typed
+        error.
         """
-        snapshot = self._require_snapshot()
-        with self._admit(1):
-            try:
-                envelope = serve_request(
-                    self._engine, snapshot, request, self._include_hints
-                )
-            except CloakingError:
-                self._count(failures=1)
-                raise
-        self._count(served=1)
-        return envelope
+        document = CloakRequestDoc.from_request(request).to_dict()
+        return self._serve_one(self._cloak_lane, document).envelope
 
     def cloak_segment(
         self,
@@ -336,32 +384,20 @@ class AnonymizerService:
         deadline_ms: Optional[float] = None,
     ) -> CloakEnvelope:
         """Cloak an explicit segment (bypasses the user lookup; used by
-        experiments that sweep positions directly, and by the wire path
-        for pre-resolved requests — which is why it honors an optional
-        cooperative ``deadline_ms``)."""
-        snapshot = self._require_snapshot()
-        deadline = Deadline.start(deadline_ms)
-        with self._admit(1):
-            try:
-                envelope = self._engine.anonymize(
-                    user_segment,
-                    snapshot,
-                    profile,
-                    chain,
-                    include_hints=self._include_hints,
-                    checkpoint=deadline.check if deadline.active else None,
-                )
-            except CloakingError:
-                self._count(failures=1)
-                raise
-        self._count(served=1)
-        return envelope
+        experiments that sweep positions directly), under an optional
+        cooperative ``deadline_ms``."""
+        document = CloakRequestDoc(
+            # A document carrying ``user_segment`` is never resolved, so
+            # nothing on its path reads ``user_id``; 0 only fills the field.
+            user_id=0,
+            profile=profile,
+            chain=chain,
+            user_segment=user_segment,
+            deadline_ms=deadline_ms,
+        ).to_dict()
+        return self._serve_one(self._cloak_lane, document).envelope
 
-    def cloak_batch(
-        self,
-        requests: Sequence[CloakRequest],
-        max_workers: Optional[int] = None,
-    ) -> List[BatchOutcome]:
+    def cloak_batch(self, requests: Sequence[CloakRequest]) -> List[BatchOutcome]:
         """Serve a batch of requests on the execution backend.
 
         Every request is cloaked against the snapshot installed when the
@@ -370,36 +406,26 @@ class AnonymizerService:
         :class:`~repro.errors.CloakingError` or
         :class:`~repro.errors.MobilityError` yields a
         :class:`BatchOutcome` carrying that error instead of aborting the
-        batch — any other exception propagates.
-
-        Args:
-            requests: The batch, served in order.
-            max_workers: ``None`` (the default) serves on the configured
-                backend. An explicit width overrides the backend for this
-                call with the legacy thread-pool semantics: ``1`` serves
-                inline on the calling thread, ``N > 1`` uses a cached
-                ``N``-wide thread pool.
+        batch — any other error raises.
 
         Raises:
             MobilityError: No snapshot is installed.
         """
-        snapshot = self._require_snapshot()
+        self._require_snapshot()
         if not requests:
             return []
-        backend = (
-            self._backend if max_workers is None else self._width_backend(max_workers)
+        outcomes = self._cloak_lane(
+            [CloakRequestDoc.from_request(request).to_dict() for request in requests]
         )
-        with self._admit(len(requests)):
-            outcomes = backend.cloak_batch(snapshot, requests)
-        served = sum(1 for outcome in outcomes if outcome.ok)
-        cloak_failures = sum(
-            1 for outcome in outcomes if isinstance(outcome.error, CloakingError)
+        return self._typed_outcomes(
+            requests,
+            outcomes,
+            _SERVING_ERRORS,
+            lambda request, doc, error: BatchOutcome(request, doc.envelope, error),
         )
-        self._count(served=served, failures=cloak_failures)
-        return outcomes
 
     # ------------------------------------------------------------------
-    # de-anonymization (server-side endpoint)
+    # de-anonymization (object API)
     # ------------------------------------------------------------------
     def deanonymize(
         self,
@@ -411,48 +437,64 @@ class AnonymizerService:
         """Peel ``envelope`` down to ``target_level`` for a key-holding
         requester.
 
-        Drives :meth:`ReverseCloakEngine.for_envelope`: the reversal engine
-        is configured from the envelope's own algorithm metadata (cached per
-        algorithm spec), so the service can reverse envelopes produced with
-        any algorithm on this map — including by other anonymizer instances.
+        ``keys`` is a :class:`~repro.keys.keys.KeyChain`, a ``{level: key}``
+        mapping or any iterable of keys. The reversal engine is configured
+        from the envelope's own algorithm metadata, so the service can
+        reverse envelopes produced with any algorithm on this map —
+        including by other anonymizer instances.
         """
-        with self._admit(1):
-            try:
-                result = self._reversal_engine(envelope).deanonymize(
-                    envelope, keys, target_level, mode=mode
-                )
-            except ReverseCloakError:
-                # Failed reversals count too — `handle` converts them into
-                # outcome documents, so without this the wire path would
-                # leave no bookkeeping trace at all.
-                self._count(reversal_failures=1)
-                raise
-        self._count(reversals=1)
-        return result
+        document = DeanonymizeRequestDoc(
+            envelope=envelope,
+            keys=tuple(_normalize_keys(keys).values()),
+            target_level=target_level,
+            mode=mode,
+        ).to_dict()
+        return self._serve_one(self._peel_lane, document).result
 
     def deanonymize_batch(
         self, requests: Sequence[DeanonymizeRequestDoc]
     ) -> List[ReversalOutcome]:
         """Serve a batch of reversal requests on the execution backend.
 
-        The batch twin of :meth:`deanonymize`, and the path that finally
-        puts the system's headline operation on the serving seam: outcomes
-        come back in request order, per-item failures (wrong keys,
-        collisions, foreign envelopes) ride in place as typed
-        :class:`~repro.lbs.backends.ReversalOutcome` errors, and the
+        Outcomes come back in request order; per-item failures (wrong
+        keys, collisions, foreign envelopes) ride in place as typed
+        :class:`ReversalOutcome` errors, any other error raises, and the
         results are byte-identical whichever backend the service was
         configured with — the process pool peels shards in parallel.
         """
         if not requests:
             return []
-        with self._admit(len(requests)):
-            outcomes = self._backend.deanonymize_batch(requests)
-        served = sum(1 for outcome in outcomes if outcome.ok)
-        self._count(reversals=served, reversal_failures=len(outcomes) - served)
-        return outcomes
+        outcomes = self._peel_lane([request.to_dict() for request in requests])
+        return self._typed_outcomes(
+            requests,
+            outcomes,
+            _REVERSAL_ERRORS,
+            lambda request, doc, error: ReversalOutcome(request, doc.result, error),
+        )
 
-    def _reversal_engine(self, envelope: CloakEnvelope) -> ReverseCloakEngine:
-        return self._reversal_engines.engine_for(envelope)
+    @staticmethod
+    def _serve_one(lane, document: dict) -> OutcomeDoc:
+        """One document through ``lane``: its success outcome, or its
+        error raised."""
+        return OutcomeDoc.from_dict(lane([document])[0]).raise_if_error()
+
+    @staticmethod
+    def _typed_outcomes(requests, outcomes, kept, build) -> list:
+        """Outcome documents as typed outcome objects, built by
+        ``build(request, outcome_doc, error)``: successes and errors in
+        ``kept`` in place, the first other error raised."""
+        typed = []
+        unexpected: Optional[ReverseCloakError] = None
+        for request, outcome in zip(requests, outcomes):
+            doc = OutcomeDoc.from_dict(outcome)
+            error = None if doc.ok else doc.to_exception()
+            if error is not None and not isinstance(error, kept):
+                unexpected = unexpected or error
+                continue
+            typed.append(build(request, doc, error))
+        if unexpected is not None:
+            raise unexpected
+        return typed
 
     # ------------------------------------------------------------------
     # transport-neutral entry point
@@ -460,17 +502,18 @@ class AnonymizerService:
     def handle(self, document: dict) -> dict:
         """Serve one raw wire document and return an outcome document.
 
-        Dispatches on the document's ``format`` tag
-        (:data:`~repro.lbs.wire.CLOAK_REQUEST_FORMAT` /
-        :data:`~repro.lbs.wire.DEANONYMIZE_REQUEST_FORMAT` /
-        :data:`~repro.lbs.wire.DEANONYMIZE_BATCH_FORMAT` — batch requests
-        answer with a :class:`~repro.lbs.wire.BatchOutcomeDoc`, per-item
-        errors in place). Every
-        :class:`~repro.errors.ReverseCloakError` — including malformed
-        documents, shed load (``overloaded``) and expired deadlines
-        (``deadline_exceeded``) — comes back as a structured error
-        outcome; only genuinely unexpected exceptions propagate. This is
-        the single method a transport adapter needs.
+        Dispatches on the document's ``format`` tag. A cloak
+        (:data:`~repro.lbs.wire.CLOAK_REQUEST_FORMAT`) or a peel
+        (:data:`~repro.lbs.wire.DEANONYMIZE_REQUEST_FORMAT`) is served as a
+        lane of one, exactly as :meth:`handle_batch` serves it; the items
+        of a :data:`~repro.lbs.wire.DEANONYMIZE_BATCH_FORMAT` document go
+        through the peel lane together and answer with a
+        :class:`~repro.lbs.wire.BatchOutcomeDoc`, per-item errors in
+        place. Every :class:`~repro.errors.ReverseCloakError` — including
+        malformed documents, shed load (``overloaded``) and expired
+        deadlines (``deadline_exceeded``) — comes back as a structured
+        error outcome; only genuinely unexpected exceptions propagate. This
+        is the single method a transport adapter needs.
 
         A batch document's ``deadline_ms`` is applied as the default
         cooperative deadline of every item that does not carry its own.
@@ -478,49 +521,26 @@ class AnonymizerService:
         try:
             kind = document.get("format") if isinstance(document, dict) else None
             if kind == CLOAK_REQUEST_FORMAT:
-                request_doc = CloakRequestDoc.from_dict(document)
-                if request_doc.user_segment is not None:
-                    envelope = self.cloak_segment(
-                        request_doc.user_segment,
-                        request_doc.profile,
-                        request_doc.chain,
-                        deadline_ms=request_doc.deadline_ms,
-                    )
-                else:
-                    envelope = self.cloak(request_doc.to_request())
-                return OutcomeDoc.from_envelope(envelope).to_dict()
+                return self._answer_lane(self._cloak_lane, [document])[0]
             if kind == DEANONYMIZE_REQUEST_FORMAT:
-                reversal_doc = DeanonymizeRequestDoc.from_dict(document)
-                result = self.deanonymize(
-                    reversal_doc.envelope,
-                    reversal_doc.key_map(),
-                    reversal_doc.target_level,
-                    mode=reversal_doc.mode,
-                )
-                return OutcomeDoc.from_result(result).to_dict()
+                return self._answer_lane(self._peel_lane, [document])[0]
             if kind == DEANONYMIZE_BATCH_FORMAT:
                 batch_doc = DeanonymizeBatchDoc.from_dict(document)
-                items = batch_doc.items
+                items = document["items"]
                 if batch_doc.deadline_ms is not None:
                     # The batch-level deadline is a default, not a cap:
                     # items carrying their own deadline keep it.
-                    items = tuple(
+                    items = [
                         item
-                        if item.deadline_ms is not None
-                        else dataclasses.replace(
-                            item, deadline_ms=batch_doc.deadline_ms
-                        )
+                        if item.get("deadline_ms") is not None
+                        else dict(item, deadline_ms=batch_doc.deadline_ms)
                         for item in items
-                    )
-                outcomes = self.deanonymize_batch(items)
-                return BatchOutcomeDoc(
-                    outcomes=tuple(
-                        OutcomeDoc.from_result(outcome.result)
-                        if outcome.ok
-                        else OutcomeDoc.from_exception(outcome.error)
-                        for outcome in outcomes
-                    )
-                ).to_dict()
+                    ]
+                return {
+                    "format": BATCH_OUTCOME_FORMAT,
+                    "version": WIRE_VERSION,
+                    "outcomes": self._peel_lane(items),
+                }
             if kind == STATS_REQUEST_FORMAT:
                 version = document.get("version")
                 if version != WIRE_VERSION:
@@ -577,6 +597,15 @@ class AnonymizerService:
             return OutcomeDoc.from_exception(malformed).to_json()
         return json.dumps(self.handle(document), sort_keys=True)
 
+    def handle_json(self, payload: str) -> str:
+        """:meth:`handle` over JSON strings (byte-transport adapters)."""
+        try:
+            document = json.loads(payload)
+        except ValueError as exc:
+            malformed = WireFormatError(f"request is not valid JSON: {exc}")
+            return OutcomeDoc.from_exception(malformed).to_json()
+        return json.dumps(self.handle(document), sort_keys=True)
+
     def handle_batch(self, documents: Sequence[dict]) -> List[dict]:
         """Serve many *independent* wire documents as coalesced batches.
 
@@ -585,97 +614,121 @@ class AnonymizerService:
         (:mod:`repro.lbs.frontend`): one outcome document per input
         document, positionally, each answering exactly what :meth:`handle`
         would have answered for that document alone — but single cloak and
-        single reversal documents are grouped into one
-        ``cloak_batch_raw`` / ``deanonymize_batch_raw`` backend call
-        each, so a process-pool backend pays its dispatch overhead once
-        per coalesced batch instead of once per request — and ships the
-        raw documents, deferring validation to wherever the backend
-        parses anyway. Every other format (reversal batches, stats,
-        unknown) is served individually through :meth:`handle`.
+        single reversal documents are grouped into one lane each, so a
+        process-pool backend pays its dispatch overhead once per coalesced
+        batch instead of once per request. Every other format (reversal
+        batches, stats, unknown) is served individually through
+        :meth:`handle`, before the lanes.
 
-        Admission control is per coalesced group, all-or-nothing like any
-        batch; a shed group answers structured ``overloaded`` outcomes in
-        place. Parse failures, unknown users and serving failures all ride
-        in place too — this method never raises for a bad document.
+        Admission control is per lane, all-or-nothing like any batch; a
+        shed lane answers structured ``overloaded`` outcomes in place.
+        Parse failures, unknown users and serving failures all ride in
+        place too — this method never raises for a bad document.
         """
         results: List[Optional[dict]] = [None] * len(documents)
-        cloak_lane: List[Tuple[int, dict]] = []
-        peel_lane: List[Tuple[int, dict]] = []
+        cloaks: List[int] = []
+        peels: List[int] = []
         for position, document in enumerate(documents):
             kind = document.get("format") if isinstance(document, dict) else None
             if kind == CLOAK_REQUEST_FORMAT:
-                cloak_lane.append((position, document))
+                cloaks.append(position)
             elif kind == DEANONYMIZE_REQUEST_FORMAT:
-                peel_lane.append((position, document))
+                peels.append(position)
             else:
                 results[position] = self.handle(document)
-        if cloak_lane:
-            self._serve_cloak_lane(cloak_lane, results)
-        if peel_lane:
-            self._serve_peel_lane(peel_lane, results)
+        for positions, lane in ((cloaks, self._cloak_lane), (peels, self._peel_lane)):
+            if positions:
+                outcomes = self._answer_lane(
+                    lane, [documents[position] for position in positions]
+                )
+                for position, outcome in zip(positions, outcomes):
+                    results[position] = outcome
         return results  # type: ignore[return-value]
 
-    def _serve_cloak_lane(
-        self,
-        lane: List[Tuple[int, dict]],
-        results: List[Optional[dict]],
-    ) -> None:
-        """One coalesced cloak group through the backend's raw-document
-        path, outcomes written back positionally; counter bookkeeping
-        matches :meth:`cloak_batch` (only cloaking errors count as
-        failures — a malformed or unknown-user document counts as
-        neither, exactly like :meth:`handle`)."""
-        docs = [document for _, document in lane]
+    # ------------------------------------------------------------------
+    # the two lanes
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _answer_lane(
+        lane: Callable[[Sequence[dict]], List[dict]], documents: Sequence[dict]
+    ) -> List[dict]:
+        """Serve ``documents`` through ``lane``, answering a lane-wide
+        failure (no snapshot, shed load) in place for every document."""
         try:
-            snapshot = self._require_snapshot()
-            with self._admit(len(docs)):
-                outcome_docs = self._backend.cloak_batch_raw(snapshot, docs)
+            return lane(documents)
         except ReverseCloakError as exc:
             outcome = OutcomeDoc.from_exception(exc).to_dict()
-            for position, _ in lane:
-                results[position] = dict(outcome)
-            return
-        served = 0
-        failures = 0
-        for (position, _), outcome in zip(lane, outcome_docs):
-            results[position] = outcome
-            if outcome.get("status") == "ok":
-                served += 1
-            else:
-                code = str((outcome.get("error") or {}).get("code", ""))
-                if issubclass(error_class_for_code(code), CloakingError):
-                    failures += 1
-        self._count(served=served, failures=failures)
+            return [dict(outcome) for _ in documents]
 
-    def _serve_peel_lane(
-        self,
-        lane: List[Tuple[int, dict]],
-        results: List[Optional[dict]],
-    ) -> None:
-        """One coalesced reversal group through the backend's raw-document
-        path; counter bookkeeping matches :meth:`deanonymize_batch`,
-        except that malformed documents — which :meth:`handle` rejects
-        before ever counting — stay uncounted here too."""
-        docs = [document for _, document in lane]
-        try:
-            with self._admit(len(docs)):
-                outcome_docs = self._backend.deanonymize_batch_raw(docs)
-        except ReverseCloakError as exc:
-            outcome = OutcomeDoc.from_exception(exc).to_dict()
-            for position, _ in lane:
-                results[position] = dict(outcome)
-            return
-        served = 0
-        reversal_failures = 0
-        for (position, _), outcome in zip(lane, outcome_docs):
-            results[position] = outcome
-            if outcome.get("status") == "ok":
-                served += 1
-            else:
-                code = str((outcome.get("error") or {}).get("code", ""))
-                if not issubclass(error_class_for_code(code), WireFormatError):
-                    reversal_failures += 1
-        self._count(reversals=served, reversal_failures=reversal_failures)
+    def _cloak_lane(self, documents: Sequence[dict]) -> List[dict]:
+        """Cloak request documents through the backend, outcomes in order.
+
+        Users are resolved here, once, against the snapshot: the backend
+        receives every document with its ``user_segment`` set. A document
+        that fails resolution answers in place; only cloaking errors count
+        as failures (a malformed or unknown-user document counts as
+        neither).
+
+        Raises:
+            MobilityError: No snapshot is installed.
+            OverloadedError: The lane was shed.
+        """
+        snapshot = self._require_snapshot()
+        outcomes: List[Optional[dict]] = [None] * len(documents)
+        with self._admit(len(documents)):
+            resolved: List[dict] = []
+            positions: List[int] = []
+            for position, document in enumerate(documents):
+                try:
+                    resolved.append(self._resolve_user(snapshot, document))
+                except ReverseCloakError as exc:
+                    outcomes[position] = OutcomeDoc.from_exception(exc).to_dict()
+                    continue
+                positions.append(position)
+            if resolved:
+                served = self._backend.cloak_batch_raw(snapshot, resolved)
+                for position, outcome in zip(positions, served):
+                    outcomes[position] = outcome
+        ok, failures = _tally(outcomes, lambda cls: issubclass(cls, CloakingError))
+        self._count(served=ok, failures=failures)
+        return outcomes  # type: ignore[return-value]
+
+    @staticmethod
+    def _resolve_user(snapshot: PopulationSnapshot, document: dict) -> dict:
+        """``document`` with the user's segment patched into a copy.
+
+        A literal int ``user_id`` the snapshot knows takes the fast path;
+        anything else is parsed first, so a malformed document fails as
+        malformed, never as merely unknown. A document that already
+        carries ``user_segment`` passes through unresolved.
+        """
+        if document.get("user_segment") is not None:
+            return document
+        user_id = document.get("user_id")
+        # `type` not `isinstance`: bool subclasses int, and from_dict's
+        # int() coercion stays the one authority on anything else.
+        if not (type(user_id) is int and snapshot.has_user(user_id)):
+            user_id = CloakRequestDoc.from_dict(document).user_id
+            if not snapshot.has_user(user_id):
+                raise MobilityError(
+                    f"user {user_id} is not in the current snapshot"
+                )
+        return dict(document, user_segment=snapshot.segment_of(user_id))
+
+    def _peel_lane(self, documents: Sequence[dict]) -> List[dict]:
+        """Reversal request documents through the backend, outcomes in
+        order. Malformed documents count as neither served nor failed.
+
+        Raises:
+            OverloadedError: The lane was shed.
+        """
+        with self._admit(len(documents)):
+            outcomes = self._backend.deanonymize_batch_raw(documents)
+        ok, failures = _tally(
+            outcomes, lambda cls: not issubclass(cls, WireFormatError)
+        )
+        self._count(reversals=ok, reversal_failures=failures)
+        return outcomes
 
     # ------------------------------------------------------------------
     # internals
@@ -685,22 +738,6 @@ class AnonymizerService:
         if snapshot is None:
             raise MobilityError("anonymizer has no population snapshot")
         return snapshot
-
-    def _width_backend(self, max_workers: int) -> ExecutionBackend:
-        """The cached legacy backend of an explicit ``max_workers`` width."""
-        if max_workers <= 1:
-            width = 1
-        else:
-            width = min(max_workers, 64)
-        with self._width_lock:
-            backend = self._width_backends.get(width)
-            if backend is None:
-                backend = (
-                    InlineBackend() if width == 1 else ThreadPoolBackend(width)
-                )
-                backend.bind(self._spec)
-                self._width_backends[width] = backend
-            return backend
 
     def _count(
         self,

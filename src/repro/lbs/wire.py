@@ -39,6 +39,7 @@ from its document, and is freed with them when the request is done.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -167,6 +168,18 @@ def _parse(kind: str, what: str, thunk):
         raise WireFormatError(f"malformed {kind}: bad {what}: {exc}") from None
 
 
+def _deadline_ms(value) -> Optional[float]:
+    """A request's ``deadline_ms``: absent (``None``) or a finite number
+    >= 0. Anything else is malformed — a negative, NaN or infinite budget
+    has no meaning, and every later deadline computation trusts this."""
+    if value is None:
+        return None
+    deadline_ms = float(value)
+    if not (math.isfinite(deadline_ms) and deadline_ms >= 0):
+        raise ValueError(f"deadline_ms must be a finite number >= 0, got {value!r}")
+    return deadline_ms
+
+
 #: Parsed-profile memo keyed by canonical JSON. Real workloads draw
 #: profiles from a handful of presets, so batch serving parses each
 #: distinct profile document once instead of once per request; profiles
@@ -279,8 +292,7 @@ class CloakRequestDoc:
             chain = KeyChain.from_dict(document["chain"])
             segment = document.get("user_segment")
             user_segment = None if segment is None else int(segment)
-            deadline = document.get("deadline_ms")
-            deadline_ms = None if deadline is None else float(deadline)
+            deadline_ms = _deadline_ms(document.get("deadline_ms"))
         except WireFormatError:
             raise
         except (
@@ -367,13 +379,7 @@ class DeanonymizeRequestDoc:
         )
         mode = str(document.get("mode", "auto"))
         deadline_ms = _parse(
-            kind,
-            "deadline_ms",
-            lambda: (
-                None
-                if document.get("deadline_ms") is None
-                else float(document["deadline_ms"])
-            ),
+            kind, "deadline_ms", lambda: _deadline_ms(document.get("deadline_ms"))
         )
         return cls(
             envelope=envelope,
@@ -445,11 +451,7 @@ class DeanonymizeBatchDoc:
         deadline_ms = _parse(
             DEANONYMIZE_BATCH_FORMAT,
             "deadline_ms",
-            lambda: (
-                None
-                if document.get("deadline_ms") is None
-                else float(document["deadline_ms"])
-            ),
+            lambda: _deadline_ms(document.get("deadline_ms")),
         )
         return cls(
             items=tuple(

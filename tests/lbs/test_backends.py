@@ -41,7 +41,7 @@ from repro.lbs import (
     ProcessPoolBackend,
     ThreadPoolBackend,
 )
-from repro.lbs.wire import DeanonymizeRequestDoc, OutcomeDoc
+from repro.lbs.wire import CloakRequestDoc, DeanonymizeRequestDoc, OutcomeDoc
 
 START_METHODS = tuple(
     method.strip()
@@ -531,10 +531,12 @@ class TestBackendLifecycle:
 
     def test_unbound_backend_rejects_serving(self, dense_snapshot, batch_profile):
         backend = ThreadPoolBackend(2)
+        request = _requests(dense_snapshot, batch_profile, 1)[0]
+        document = CloakRequestDoc.from_request(request, user_segment=0).to_dict()
         with pytest.raises(CloakingError):
-            backend.cloak_batch(
-                dense_snapshot, _requests(dense_snapshot, batch_profile, 1)
-            )
+            backend.cloak_batch_raw(dense_snapshot, [document])
+        with pytest.raises(CloakingError):
+            backend.deanonymize_batch_raw([{"format": "any"}])
 
     def test_invalid_widths_rejected(self):
         with pytest.raises(CloakingError):

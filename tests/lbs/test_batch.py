@@ -1,5 +1,6 @@
-"""Concurrency tests for ``TrustedAnonymizer.cloak_batch`` and the guarded
-bookkeeping counters."""
+"""Concurrency tests for ``AnonymizerService.cloak_batch`` on a thread-pool
+backend, against an inline reference, and for the guarded bookkeeping
+counters."""
 
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 from repro import KeyChain, PopulationSnapshot, PrivacyProfile, grid_network
 from repro.core import LevelRequirement, PrivacyProfile as CoreProfile, ToleranceSpec
 from repro.errors import MobilityError, ToleranceExceededError
-from repro.lbs import BatchOutcome, CloakRequest, TrustedAnonymizer
+from repro.lbs import AnonymizerService, CloakRequest, ThreadPoolBackend
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,30 @@ def batch_profile():
     return PrivacyProfile.uniform(
         levels=2, base_k=3, k_step=3, base_l=2, l_step=1, max_segments=60
     )
+
+
+@pytest.fixture()
+def make_server(grid10):
+    """Thread-pool-backed services (four workers), closed after the test."""
+    services = []
+
+    def make(snapshot=None):
+        service = AnonymizerService(grid10, backend=ThreadPoolBackend(4))
+        if snapshot is not None:
+            service.update_snapshot(snapshot)
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.close()
+
+
+def _inline(grid10, snapshot):
+    """The inline reference service."""
+    service = AnonymizerService(grid10)
+    service.update_snapshot(snapshot)
+    return service
 
 
 def _requests(snapshot, profile, count, tag="u"):
@@ -30,12 +55,14 @@ def _requests(snapshot, profile, count, tag="u"):
 
 
 class TestCloakBatch:
-    def test_matches_sequential_serving(self, grid10, traffic_snapshot, batch_profile):
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+    def test_matches_sequential_serving(
+        self, grid10, traffic_snapshot, batch_profile, make_server
+    ):
+        server = make_server(traffic_snapshot)
         requests = _requests(traffic_snapshot, batch_profile, 16)
-        sequential = [server.cloak(request) for request in requests]
-        outcomes = server.cloak_batch(requests, max_workers=4)
+        reference = _inline(grid10, traffic_snapshot)
+        sequential = [reference.cloak(request) for request in requests]
+        outcomes = server.cloak_batch(requests)
         assert [outcome.request for outcome in outcomes] == requests  # order kept
         assert all(outcome.ok and outcome.error is None for outcome in outcomes)
         # Envelope byte-equality against single-request serving.
@@ -43,21 +70,21 @@ class TestCloakBatch:
             e.to_json() for e in sequential
         ]
 
-    def test_inline_mode_matches_pool(self, grid10, traffic_snapshot, batch_profile):
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+    def test_inline_mode_matches_pool(
+        self, grid10, traffic_snapshot, batch_profile, make_server
+    ):
+        server = make_server(traffic_snapshot)
         requests = _requests(traffic_snapshot, batch_profile, 8)
-        inline = server.cloak_batch(requests, max_workers=1)
-        pooled = server.cloak_batch(requests, max_workers=4)
+        inline = _inline(grid10, traffic_snapshot).cloak_batch(requests)
+        pooled = server.cloak_batch(requests)
         assert [o.envelope for o in inline] == [o.envelope for o in pooled]
 
-    def test_empty_batch(self, grid10, traffic_snapshot):
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+    def test_empty_batch(self, traffic_snapshot, make_server):
+        server = make_server(traffic_snapshot)
         assert server.cloak_batch([]) == []
 
-    def test_no_snapshot_rejected(self, grid10, batch_profile):
-        server = TrustedAnonymizer(grid10)
+    def test_no_snapshot_rejected(self, batch_profile, make_server):
+        server = make_server()
         with pytest.raises(MobilityError):
             server.cloak_batch(
                 [
@@ -69,9 +96,10 @@ class TestCloakBatch:
                 ]
             )
 
-    def test_failures_reported_in_place(self, grid10, traffic_snapshot, batch_profile):
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+    def test_failures_reported_in_place(
+        self, traffic_snapshot, batch_profile, make_server
+    ):
+        server = make_server(traffic_snapshot)
         impossible = CoreProfile(
             [LevelRequirement(k=10_000, l=2, tolerance=ToleranceSpec(max_segments=5))]
         )
@@ -86,7 +114,7 @@ class TestCloakBatch:
             profile=batch_profile,
             chain=KeyChain.from_passphrases(["gone1", "gone2"]),
         )
-        outcomes = server.cloak_batch(good[:2] + [bad, missing] + good[2:], max_workers=3)
+        outcomes = server.cloak_batch(good[:2] + [bad, missing] + good[2:])
         assert [o.ok for o in outcomes] == [True, True, False, False, True, True]
         assert isinstance(outcomes[2].error, ToleranceExceededError)
         assert isinstance(outcomes[3].error, MobilityError)
@@ -94,15 +122,14 @@ class TestCloakBatch:
         assert server.failures == 1  # user-missing is not a cloaking failure
 
     def test_batch_ignores_mid_flight_snapshot_update(
-        self, grid10, traffic_snapshot, dense_snapshot, batch_profile
+        self, traffic_snapshot, dense_snapshot, batch_profile, make_server
     ):
         # The batch captures one immutable snapshot at submission; swapping
         # the live snapshot between submissions must not mix populations
         # within a batch (each batch is internally consistent).
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+        server = make_server(traffic_snapshot)
         requests = _requests(traffic_snapshot, batch_profile, 6)
-        before = server.cloak_batch(requests, max_workers=2)
+        before = server.cloak_batch(requests)
         server.update_snapshot(dense_snapshot)
         # Users of traffic_snapshot may not exist in dense_snapshot built
         # from counts; re-resolve against the new snapshot's users.
@@ -114,19 +141,18 @@ class TestCloakBatch:
             )
             for user_id in dense_snapshot.users()[:6]
         ]
-        after = server.cloak_batch(after_requests, max_workers=2)
+        after = server.cloak_batch(after_requests)
         assert all(o.ok for o in before) and all(o.ok for o in after)
 
 
 class TestCounterSafety:
     def test_concurrent_batches_count_exactly(
-        self, grid10, traffic_snapshot, batch_profile
+        self, traffic_snapshot, batch_profile, make_server
     ):
         # Hammer the server from several threads, each submitting pooled
         # batches; the guarded counters must account for every request
         # exactly once (the old bare `+= 1` lost increments here).
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+        server = make_server(traffic_snapshot)
         requests = _requests(traffic_snapshot, batch_profile, 10)
         rounds = 4
         threads = 5
@@ -135,7 +161,7 @@ class TestCounterSafety:
         def hammer():
             try:
                 for __ in range(rounds):
-                    outcomes = server.cloak_batch(requests, max_workers=4)
+                    outcomes = server.cloak_batch(requests)
                     assert all(o.ok for o in outcomes)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -150,20 +176,20 @@ class TestCounterSafety:
         assert server.failures == 0
 
     def test_concurrent_envelopes_match_sequential(
-        self, grid10, traffic_snapshot, batch_profile
+        self, grid10, traffic_snapshot, batch_profile, make_server
     ):
         # Byte-equality under concurrency: many threads serving the same
         # request set must produce exactly the sequential envelopes
         # (deterministic keyed expansion, no cross-request state).
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+        server = make_server(traffic_snapshot)
         requests = _requests(traffic_snapshot, batch_profile, 8)
-        expected = [server.cloak(request).to_json() for request in requests]
+        reference = _inline(grid10, traffic_snapshot)
+        expected = [reference.cloak(request).to_json() for request in requests]
         results = {}
         lock = threading.Lock()
 
         def serve(slot):
-            outcomes = server.cloak_batch(requests, max_workers=4)
+            outcomes = server.cloak_batch(requests)
             with lock:
                 results[slot] = [o.envelope.to_json() for o in outcomes]
 
@@ -176,9 +202,8 @@ class TestCounterSafety:
             worker.join()
         assert all(batch == expected for batch in results.values())
 
-    def test_failures_counted_under_concurrency(self, grid10, traffic_snapshot):
-        server = TrustedAnonymizer(grid10)
-        server.update_snapshot(traffic_snapshot)
+    def test_failures_counted_under_concurrency(self, traffic_snapshot, make_server):
+        server = make_server(traffic_snapshot)
         impossible = CoreProfile(
             [LevelRequirement(k=10_000, l=2, tolerance=ToleranceSpec(max_segments=5))]
         )
@@ -192,7 +217,7 @@ class TestCounterSafety:
         ]
 
         def hammer():
-            outcomes = server.cloak_batch(bad_requests, max_workers=3)
+            outcomes = server.cloak_batch(bad_requests)
             assert not any(o.ok for o in outcomes)
 
         workers = [threading.Thread(target=hammer) for __ in range(3)]

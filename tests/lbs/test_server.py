@@ -1,15 +1,16 @@
-"""Tests for the trusted anonymization server."""
+"""Tests for the trusted anonymizer's cloaking behaviour on
+:class:`~repro.lbs.service.AnonymizerService`."""
 
 import pytest
 
 from repro import KeyChain, PrivacyProfile
 from repro.errors import MobilityError, ToleranceExceededError
-from repro.lbs import CloakRequest, TrustedAnonymizer
+from repro.lbs import AnonymizerService, CloakRequest
 
 
 @pytest.fixture()
 def anonymizer(grid10, traffic_snapshot):
-    server = TrustedAnonymizer(grid10)
+    server = AnonymizerService(grid10)
     server.update_snapshot(traffic_snapshot)
     return server
 
@@ -32,7 +33,7 @@ class TestCloak:
         assert anonymizer.requests_served == 1
 
     def test_no_snapshot_rejected(self, grid10, profile):
-        server = TrustedAnonymizer(grid10)
+        server = AnonymizerService(grid10)
         chain = KeyChain.from_passphrases(["s1", "s2"])
         with pytest.raises(MobilityError):
             server.cloak(CloakRequest(user_id=0, profile=profile, chain=chain))
@@ -66,7 +67,7 @@ class TestCloak:
     def test_snapshot_updates_change_results(self, grid10, profile):
         from repro.mobility import PopulationSnapshot
 
-        server = TrustedAnonymizer(grid10)
+        server = AnonymizerService(grid10)
         chain = KeyChain.from_passphrases(["s1", "s2"])
         dense = PopulationSnapshot.from_counts(
             {segment_id: 5 for segment_id in grid10.segment_ids()}

@@ -1,10 +1,9 @@
 """Tests for :class:`~repro.lbs.service.AnonymizerService` — the serving
-facade: cloaking, the server-side deanonymize endpoint, the raw-document
-``handle`` entry point, and the deprecated ``TrustedAnonymizer`` shim."""
+facade: cloaking, the server-side deanonymize endpoint and the raw-document
+``handle`` entry point."""
 
 import json
 import threading
-import warnings
 
 import pytest
 
@@ -31,7 +30,6 @@ from repro.lbs import (
     DeanonymizeRequestDoc,
     OutcomeDoc,
     ReversalEngineCache,
-    TrustedAnonymizer,
 )
 from repro.lbs.wire import (
     MALFORMED_DOCUMENT,
@@ -104,25 +102,6 @@ class TestCloaking:
         envelope = service.cloak_segment(50, profile, chain)
         assert 50 in envelope.region
 
-    def test_explicit_width_overrides_backend(
-        self, service, traffic_snapshot, profile
-    ):
-        requests = [
-            CloakRequest(
-                user_id=user_id,
-                profile=profile,
-                chain=KeyChain.from_passphrases([f"w{user_id}-1", f"w{user_id}-2"]),
-            )
-            for user_id in traffic_snapshot.users()[:6]
-        ]
-        inline = service.cloak_batch(requests, max_workers=1)
-        pooled = service.cloak_batch(requests, max_workers=3)
-        default = service.cloak_batch(requests)
-        expected = [o.envelope.to_json() for o in inline]
-        assert [o.envelope.to_json() for o in pooled] == expected
-        assert [o.envelope.to_json() for o in default] == expected
-        assert service.requests_served == 18
-
 
 def _request_stub(profile):
     return CloakRequest(
@@ -167,10 +146,10 @@ class TestDeanonymizeEndpoint:
         assert result.region_at(0) == (
             traffic_snapshot.segment_of(request.user_id),
         )
-        # The per-spec reversal engine is cached across calls.
-        assert consumer._reversal_engine(envelope) is consumer._reversal_engine(
-            envelope
-        )
+        # The per-spec reversal engine is cached across calls, in the
+        # backend's one bounded cache.
+        engines = consumer.backend._reversal_engines
+        assert engines.engine_for(envelope) is engines.engine_for(envelope)
 
 
 class TestDeanonymizeBatchEndpoint:
@@ -241,13 +220,14 @@ class TestReversalEngineCacheLRU:
     def test_service_reversal_cache_is_bounded(
         self, service, traffic_snapshot, profile
     ):
+        engines = service.backend._reversal_engines
         for index in range(40):
-            service._reversal_engine(self._Envelope({"i": index}))
-        assert len(service._reversal_engines) <= 32
+            engines.engine_for(self._Envelope({"i": index}))
+        assert len(engines) <= 32
         # The service's own algorithm spec bypasses the LRU entirely.
         request = _request(traffic_snapshot, profile, tag="lru")
         envelope = service.cloak(request)
-        assert service._reversal_engine(envelope) is service.engine
+        assert engines.engine_for(envelope) is service.backend._engine
 
 
 class TestReversalCounters:
@@ -485,14 +465,15 @@ class TestAdmissionControl:
         service = self._service(grid10, traffic_snapshot, max_inflight=1)
         release = threading.Event()
         entered = threading.Event()
-        original = service.engine.anonymize
+        engine = service.backend._engine
+        original = engine.anonymize
 
         def slow_anonymize(*args, **kwargs):
             entered.set()
             release.wait(timeout=10)
             return original(*args, **kwargs)
 
-        service._engine.anonymize = slow_anonymize
+        engine.anonymize = slow_anonymize
         holder = threading.Thread(
             target=service.cloak, args=(_request(traffic_snapshot, profile),)
         )
@@ -599,28 +580,6 @@ class TestServiceDeadlines:
         reply = BatchOutcomeDoc.from_dict(service.handle(batch.to_dict()))
         assert [o.ok for o in reply.outcomes] == [False, True]
         assert reply.outcomes[0].error_code == "deadline_exceeded"
-
-
-class TestTrustedAnonymizerShim:
-    def test_construction_warns_deprecation(self, grid10):
-        with pytest.warns(DeprecationWarning, match="AnonymizerService"):
-            TrustedAnonymizer(grid10)
-
-    def test_delegates_to_service(self, grid10, traffic_snapshot, profile):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = TrustedAnonymizer(grid10)
-        shim.update_snapshot(traffic_snapshot)
-        request = _request(traffic_snapshot, profile, tag="shim")
-        envelope = shim.cloak(request)
-        reference = AnonymizerService(grid10)
-        reference.update_snapshot(traffic_snapshot)
-        assert envelope.to_json() == reference.cloak(request).to_json()
-        assert shim.requests_served == 1
-        assert shim.failures == 0
-        assert isinstance(shim.service, AnonymizerService)
-        outcomes = shim.cloak_batch([request], max_workers=2)
-        assert outcomes[0].envelope.to_json() == envelope.to_json()
 
 
 class TestStats:
